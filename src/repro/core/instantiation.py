@@ -442,50 +442,60 @@ def _edges_instance(
     edges of any kind. ``{}``/``[crit]``/index source edges behave like
     ``*`` for instantiation purposes (they also denote "zero or more").
     """
-    n, m = len(instance_edges), len(source_edges)
-    memo: Dict[Tuple[int, int], bool] = {}
+    return _edges_from(instance_edges, source_edges, 0, 0, {}, ctx)
 
-    def target_of(item) -> Instance:
-        # instance edges may be PEdge (pattern) or Tree/Ref children (data)
-        if isinstance(item, PEdge):
-            return item.target
-        return item
 
-    def kind_of(item) -> str:
-        if isinstance(item, PEdge):
-            return item.kind
-        return ONE  # data children count as single occurrences
-
-    def match(i: int, j: int) -> bool:
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        if j == m:
-            result = i == n
+def _edges_from(
+    instance_edges: Sequence,
+    source_edges: Sequence[PEdge],
+    i: int,
+    j: int,
+    memo: Dict[Tuple[int, int], bool],
+    ctx: InstantiationContext,
+) -> bool:
+    """Can ``instance_edges[i:]`` be aligned with ``source_edges[j:]``?
+    Module-level (not a closure in :func:`_edges_instance`) so that no
+    reference cycle outlives the call."""
+    key = (i, j)
+    if key in memo:
+        return memo[key]
+    n = len(instance_edges)
+    if j == len(source_edges):
+        result = i == n
+    else:
+        edge = source_edges[j]
+        if edge.kind == ONE:
+            result = (
+                i < n
+                and _edge_kind(instance_edges[i]) == ONE
+                and _child_instance(_edge_target(instance_edges[i]), edge.target, ctx)
+                and _edges_from(instance_edges, source_edges, i + 1, j + 1, memo, ctx)
+            )
         else:
-            edge = source_edges[j]
-            if edge.kind == ONE:
-                result = (
-                    i < n
-                    and kind_of(instance_edges[i]) == ONE
-                    and _child_instance(target_of(instance_edges[i]), edge.target, ctx)
-                    and match(i + 1, j + 1)
-                )
-            else:
-                # star-like: try consuming 0..k instance edges
-                result = match(i, j + 1)
-                k = i
-                while not result and k < n:
-                    if not _child_instance(
-                        target_of(instance_edges[k]), edge.target, ctx
-                    ):
-                        break
-                    k += 1
-                    result = match(k, j + 1)
-        memo[key] = result
-        return result
+            # star-like: try consuming 0..k instance edges
+            result = _edges_from(instance_edges, source_edges, i, j + 1, memo, ctx)
+            k = i
+            while not result and k < n:
+                target = _edge_target(instance_edges[k])
+                if not _child_instance(target, edge.target, ctx):
+                    break
+                k += 1
+                result = _edges_from(instance_edges, source_edges, k, j + 1, memo, ctx)
+    memo[key] = result
+    return result
 
-    return match(0, 0)
+
+def _edge_target(item) -> Instance:
+    # instance edges may be PEdge (pattern) or Tree/Ref children (data)
+    if isinstance(item, PEdge):
+        return item.target
+    return item
+
+
+def _edge_kind(item) -> str:
+    if isinstance(item, PEdge):
+        return item.kind
+    return ONE  # data children count as single occurrences
 
 
 # ---------------------------------------------------------------------------

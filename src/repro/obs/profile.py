@@ -90,8 +90,9 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "_construct_outputs": "construct",
     "_on_skolem": "skolem",
     "demand_loop": "demand",
-    "_demand": "demand",
+    "_demand_round": "demand",
     "finish": "splice",
+    "value_of": "splice",
     "splice": "splice",
 }
 

@@ -203,6 +203,7 @@ class Rule:
         ]
         self.predicates = list(predicates)
         self.calls = list(calls)
+        self._root_body_patterns = _root_body_patterns(self.body)
 
     # -- analysis -----------------------------------------------------------
 
@@ -236,16 +237,12 @@ class Rule:
     def body_pattern_names(self) -> List[PatternVar]:
         return [bp.name for bp in self.body]
 
-    def root_body_patterns(self) -> List[BodyPattern]:
+    def root_body_patterns(self) -> Tuple[BodyPattern, ...]:
         """Body patterns whose name is *not* bound by some other body
         pattern's leaf — these range over the input set; the others match
-        trees bound by reference or pattern-variable leaves."""
-        bound_elsewhere: Set[str] = set()
-        for bp in self.body:
-            for var in collect_variables(bp.tree):
-                if isinstance(var, PatternVar):
-                    bound_elsewhere.add(var.name)
-        return [bp for bp in self.body if bp.name.name not in bound_elsewhere]
+        trees bound by reference or pattern-variable leaves. Computed
+        once: ``body`` is fixed at construction."""
+        return self._root_body_patterns
 
     def __repr__(self) -> str:
         return f"Rule({self.name!r})"
@@ -264,6 +261,15 @@ class Rule:
             and other.predicates == self.predicates
             and other.calls == self.calls
         )
+
+
+def _root_body_patterns(body: Sequence[BodyPattern]) -> Tuple[BodyPattern, ...]:
+    bound_elsewhere: Set[str] = set()
+    for bp in body:
+        for var in collect_variables(bp.tree):
+            if isinstance(var, PatternVar):
+                bound_elsewhere.add(var.name)
+    return tuple(bp for bp in body if bp.name.name not in bound_elsewhere)
 
 
 def bind_body_refs(tree: PChild, body_names: Set[str]) -> PChild:

@@ -263,33 +263,47 @@ class _Specializer:
         self, rule_edges: Sequence[PEdge], inst_edges: Sequence[PEdge], env: SymEnv
     ) -> List[SymEnv]:
         results: List[SymEnv] = []
-        n_rule, n_inst = len(rule_edges), len(inst_edges)
-
-        def rec(ri: int, ii: int, current: SymEnv) -> None:
-            if ri == n_rule:
-                if ii == n_inst:
-                    results.append(current)
-                return
-            edge = rule_edges[ri]
-            if edge.kind == ONE:
-                if ii < n_inst and inst_edges[ii].kind == ONE:
-                    for extended in self.sym_match(
-                        edge.target, inst_edges[ii].target, current
-                    ):
-                        rec(ri + 1, ii + 1, extended)
-                return
-            # star-like rule edge
-            remaining_one = sum(1 for e in rule_edges[ri + 1 :] if e.kind == ONE)
-            max_run = n_inst - ii - remaining_one
-            for run in range(0, max_run + 1):
-                envs = self._sym_match_run(edge, inst_edges, ii, run, current)
-                if envs is None:
-                    break
-                for extended in envs:
-                    rec(ri + 1, ii + run, extended)
-
-        rec(0, 0, env)
+        self._sym_align(rule_edges, inst_edges, 0, 0, env, results)
         return results
+
+    def _sym_align(
+        self,
+        rule_edges: Sequence[PEdge],
+        inst_edges: Sequence[PEdge],
+        ri: int,
+        ii: int,
+        current: SymEnv,
+        results: List[SymEnv],
+    ) -> None:
+        """Append every alignment of ``rule_edges[ri:]`` with
+        ``inst_edges[ii:]`` extending *current* to *results* (a method,
+        not a recursive closure, so no reference cycle outlives it)."""
+        n_rule, n_inst = len(rule_edges), len(inst_edges)
+        if ri == n_rule:
+            if ii == n_inst:
+                results.append(current)
+            return
+        edge = rule_edges[ri]
+        if edge.kind == ONE:
+            if ii < n_inst and inst_edges[ii].kind == ONE:
+                for extended in self.sym_match(
+                    edge.target, inst_edges[ii].target, current
+                ):
+                    self._sym_align(
+                        rule_edges, inst_edges, ri + 1, ii + 1, extended, results
+                    )
+            return
+        # star-like rule edge
+        remaining_one = sum(1 for e in rule_edges[ri + 1 :] if e.kind == ONE)
+        max_run = n_inst - ii - remaining_one
+        for run in range(0, max_run + 1):
+            envs = self._sym_match_run(edge, inst_edges, ii, run, current)
+            if envs is None:
+                break
+            for extended in envs:
+                self._sym_align(
+                    rule_edges, inst_edges, ri + 1, ii + run, extended, results
+                )
 
     def _sym_match_run(
         self,

@@ -43,49 +43,60 @@ def dereference_dependencies(rules: Sequence[Rule]) -> Dict[str, Set[str]]:
 
 def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
     """Strongly connected components of size > 1, plus self-loops."""
-    index_counter = [0]
-    stack: List[str] = []
-    lowlink: Dict[str, int] = {}
-    index: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    components: List[List[str]] = []
+    tarjan = _Tarjan(graph)
+    for node in sorted(graph):
+        if node not in tarjan.index:
+            tarjan.strongconnect(node)
+    return tarjan.components
 
-    def strongconnect(node: str) -> None:
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
+
+class _Tarjan:
+    """Tarjan's algorithm state. A class rather than a recursive
+    closure: a closure that calls itself is a reference cycle, which
+    only the cyclic garbage collector can free."""
+
+    def __init__(self, graph: Dict[str, Set[str]]) -> None:
+        self.graph = graph
+        self.counter = 0
+        self.stack: List[str] = []
+        self.lowlink: Dict[str, int] = {}
+        self.index: Dict[str, int] = {}
+        self.on_stack: Set[str] = set()
+        self.components: List[List[str]] = []
+
+    def strongconnect(self, node: str) -> None:
+        graph, index, lowlink = self.graph, self.index, self.lowlink
+        index[node] = lowlink[node] = self.counter
+        self.counter += 1
+        self.stack.append(node)
+        self.on_stack.add(node)
         for successor in graph.get(node, ()):
             if successor not in graph:
                 continue
             if successor not in index:
-                strongconnect(successor)
+                self.strongconnect(successor)
                 lowlink[node] = min(lowlink[node], lowlink[successor])
-            elif successor in on_stack:
+            elif successor in self.on_stack:
                 lowlink[node] = min(lowlink[node], index[successor])
         if lowlink[node] == index[node]:
             component = []
             while True:
-                member = stack.pop()
-                on_stack.discard(member)
+                member = self.stack.pop()
+                self.on_stack.discard(member)
                 component.append(member)
                 if member == node:
                     break
             if len(component) > 1 or node in graph.get(node, ()):
-                components.append(sorted(component))
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return components
+                self.components.append(sorted(component))
 
 
 def _pattern_var_depths(tree: PChild) -> Dict[str, int]:
     """Minimum depth at which each pattern variable is bound in a body
     pattern tree (the root of the tree itself is depth 0)."""
     depths: Dict[str, int] = {}
-
-    def visit(node: PChild, depth: int) -> None:
+    stack: List[Tuple[PChild, int]] = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         if isinstance(node, PVarLeaf):
             depths[node.var.name] = min(depths.get(node.var.name, depth), depth)
         elif isinstance(node, PRefLeaf) and isinstance(node.target, PatternVar):
@@ -93,10 +104,7 @@ def _pattern_var_depths(tree: PChild) -> Dict[str, int]:
                 depths.get(node.target.name, depth), depth
             )
         elif isinstance(node, PNode):
-            for edge in node.edges:
-                visit(edge.target, depth + 1)
-
-    visit(tree, 0)
+            stack.extend((edge.target, depth + 1) for edge in node.edges)
     return depths
 
 

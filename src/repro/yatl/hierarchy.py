@@ -167,27 +167,35 @@ class Hierarchy:
         """All rules, most specific first (topological order); fallback
         (empty-head) rules always come last."""
         depth: Dict[str, int] = {}
-
-        def depth_of(name: str, trail: Tuple[str, ...] = ()) -> int:
-            if name in depth:
-                return depth[name]
-            if name in trail:
-                return 0  # enforced orders could create loops; break them
-            parents = self._more_general.get(name, ())
-            value = (
-                0
-                if not parents
-                else 1 + max(depth_of(p, trail + (name,)) for p in parents)
-            )
-            depth[name] = value
-            return value
-
         declaration_order = {id(rule): i for i, rule in enumerate(self.rules)}
-        ordered = sorted(
+        return sorted(
             self.rules,
-            key=lambda r: (r.is_fallback, -depth_of(r.name), declaration_order[id(r)]),
+            key=lambda r: (
+                r.is_fallback,
+                -self._depth_of(r.name, depth, ()),
+                declaration_order[id(r)],
+            ),
         )
-        return ordered
+
+    def _depth_of(
+        self, name: str, depth: Dict[str, int], trail: Tuple[str, ...]
+    ) -> int:
+        """Length of the longest chain of more general rules above
+        *name*, memoized in *depth*. A method, not a recursive closure
+        in :meth:`specific_first`, so evaluation leaves no reference
+        cycle behind."""
+        if name in depth:
+            return depth[name]
+        if name in trail:
+            return 0  # enforced orders could create loops; break them
+        parents = self._more_general.get(name, ())
+        value = (
+            0
+            if not parents
+            else 1 + max(self._depth_of(p, depth, trail + (name,)) for p in parents)
+        )
+        depth[name] = value
+        return value
 
     def shadowed(self, rule: Rule, matched_rules: Set[str]) -> bool:
         """Should *rule* be skipped for an input already matched by the

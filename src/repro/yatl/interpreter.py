@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 import warnings as _warnings
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.arena import ArenaStore
@@ -355,12 +356,15 @@ class Interpreter:
         primitive :mod:`repro.parallel` runs once per chunk."""
         store = _as_store(data, self.use_arena)
         state = _RunState(self, store)
-        with span("yatl.run", rules=len(self.rules), inputs=state.n_inputs):
-            state.metrics.counter(M_BATCHES).inc(1)
-            state.apply_top_level()
-            state.apply_fallbacks()
-            state.demand_loop()
-            return state.finish()
+        try:
+            with span("yatl.run", rules=len(self.rules), inputs=state.n_inputs):
+                state.metrics.counter(M_BATCHES).inc(1)
+                state.apply_top_level()
+                state.apply_fallbacks()
+                state.demand_loop()
+                return state.finish()
+        finally:
+            state.close()
 
     def shard_spec(self):
         """The picklable description :mod:`repro.parallel` ships to
@@ -387,39 +391,54 @@ class Interpreter:
     def rule_bindings(
         self,
         rule: Rule,
-        input_trees: Sequence[Tree],
+        groups: Sequence[Sequence[Tree]],
         mctx: MatchContext,
-        warnings: List[str],
         metrics: Optional[MetricsRegistry] = None,
-    ) -> List[Binding]:
-        with span("yatl.rule", rule=rule.name, candidates=len(input_trees)):
+    ) -> List[Tuple[List[Binding], List[str]]]:
+        """Phases 1-3 of one application of *rule*: for each group of
+        candidate subjects, in order, the surviving bindings and the
+        warnings the function calls raised. Each group is matched on
+        its own — a join across several body patterns never pairs
+        subjects of two groups — so the top level passes its whole
+        input as one group, and a demand round passes each of its
+        subjects as a group of one."""
+        with span("yatl.rule", rule=rule.name, candidates=sum(map(len, groups))):
             started = time.perf_counter() if metrics is not None else 0.0
             with span("yatl.phase.match", rule=rule.name):
-                bindings = match_body(rule, input_trees, mctx)  # phase 1
+                matched = [match_body(rule, group, mctx) for group in groups]  # phase 1
+            n_matched = sum(map(len, matched))
             if metrics is not None:
                 metrics.counter(M_RULE_APPLICATIONS).inc(rule=rule.name)
-                metrics.counter(M_RULE_MATCHED).inc(len(bindings), rule=rule.name)
-            if not bindings:
+                metrics.counter(M_RULE_MATCHED).inc(n_matched, rule=rule.name)
+            outcomes: List[Tuple[List[Binding], List[str]]] = [
+                (bindings, []) for bindings in matched
+            ]
+            if not n_matched:
                 if metrics is not None:
                     metrics.histogram(M_RULE_SECONDS, buckets=TIME_BUCKETS).observe(
                         time.perf_counter() - started, rule=rule.name
                     )
-                return []
+                return outcomes
             with span("yatl.phase.call", rule=rule.name):
-                bindings = self._evaluate_calls(rule, bindings, warnings)  # phase 2
+                outcomes = [
+                    (self._evaluate_calls(rule, bindings, warnings), warnings)
+                    for bindings, warnings in outcomes
+                ]  # phase 2
+            after_calls = sum(len(bindings) for bindings, _ in outcomes)
             with span("yatl.phase.predicate", rule=rule.name):
-                kept = self._apply_predicates(rule, bindings)  # phase 3
+                outcomes = [
+                    (self._apply_predicates(rule, bindings), warnings)
+                    for bindings, warnings in outcomes
+                ]  # phase 3
             if metrics is not None:
-                metrics.counter(M_RULE_AFTER_CALLS).inc(
-                    len(bindings), rule=rule.name
-                )
+                metrics.counter(M_RULE_AFTER_CALLS).inc(after_calls, rule=rule.name)
                 metrics.counter(M_RULE_AFTER_PREDICATES).inc(
-                    len(kept), rule=rule.name
+                    sum(len(bindings) for bindings, _ in outcomes), rule=rule.name
                 )
                 metrics.histogram(M_RULE_SECONDS, buckets=TIME_BUCKETS).observe(
                     time.perf_counter() - started, rule=rule.name
                 )
-            return kept
+            return outcomes
 
     def _evaluate_calls(
         self, rule: Rule, bindings: List[Binding], warnings: List[str]
@@ -620,9 +639,7 @@ class _RunState:
             candidates = self._candidates(rule, leftovers)
             if not candidates:
                 continue
-            bindings = self.interp.rule_bindings(
-                rule, candidates, self.match_ctx, self.warnings, self.metrics
-            )
+            bindings = self._rule_bindings(rule, candidates)
             # A fallback match *handles* the input (the paper's Rule
             # Exception): account it as converted.
             for binding in bindings:
@@ -664,15 +681,21 @@ class _RunState:
             self._candidate_caches[id(inputs)] = entry
         return dispatch.candidates(rule, inputs, entry[1], self.dispatch_stats)
 
+    def _rule_bindings(self, rule: Rule, candidates: Sequence[Tree]) -> List[Binding]:
+        """Phases 1-3 of *rule* over all *candidates* as one group."""
+        [(bindings, warnings)] = self.interp.rule_bindings(
+            rule, [candidates], self.match_ctx, self.metrics
+        )
+        self.warnings.extend(warnings)
+        return bindings
+
     def _apply_rule_with_shadowing(self, rule: Rule, inputs: List[Tree]) -> None:
         roots = rule.root_body_patterns()
         single_root = roots[0].name.name if len(roots) == 1 else None
         candidates = self._candidates(rule, inputs)
         if not candidates:
             return
-        bindings = self.interp.rule_bindings(
-            rule, candidates, self.match_ctx, self.warnings, self.metrics
-        )
+        bindings = self._rule_bindings(rule, candidates)
         if not bindings:
             return
         if single_root is not None:
@@ -756,7 +779,7 @@ class _RunState:
                         rule.name,
                         inputs=origins,
                         program=self.interp.program_name,
-                        skolem=lambda i=identifier: self.skolems.term_text(i),
+                        skolem=partial(self.skolems.term_text, identifier),
                     ):
                         self.prov_records += 1
         if built:
@@ -781,7 +804,8 @@ class _RunState:
 
     def demand_loop(self) -> None:
         """Evaluate pending dereferenced Skolems on their subtree
-        arguments until quiescence (safe recursion, Section 3.4)."""
+        arguments until quiescence (safe recursion, Section 3.4), one
+        batched round at a time (see :meth:`_demand_round`)."""
         by_functor: Dict[str, List[Rule]] = {}
         for rule in self.order:
             if rule.head is not None:
@@ -797,121 +821,106 @@ class _RunState:
             if not pending:
                 break
             rounds += 1
-            progressed = False
+            # Every pending identifier of every round is one step.
+            iterations += len(pending)
+            if iterations > self.interp.max_demand_iterations:
+                raise CyclicProgramError(
+                    "demand-driven evaluation did not converge "
+                    f"(> {self.interp.max_demand_iterations} steps): "
+                    "the program is likely cyclic"
+                )
             with span("yatl.demand.round", round=rounds, pending=len(pending)):
-                for identifier in pending:
-                    iterations += 1
-                    if iterations > self.interp.max_demand_iterations:
-                        raise CyclicProgramError(
-                            "demand-driven evaluation did not converge "
-                            f"(> {self.interp.max_demand_iterations} steps): "
-                            "the program is likely cyclic"
-                        )
-                    if self._demand(identifier, by_functor):
-                        progressed = True
+                progressed = self._demand_round(pending, by_functor)
             if not progressed:
                 break
         if iterations:
             self.metrics.counter(M_DEMAND_ITERATIONS).inc(iterations)
             self.metrics.counter(M_DEMAND_ROUNDS).inc(rounds)
 
-    def _demand(self, identifier: str, by_functor: Dict[str, List[Rule]]) -> bool:
-        functor, args = self.skolems.key_of(identifier)
-        defining = by_functor.get(functor, ())
-        if not defining:
-            return False
-        subject: Optional[Union[Tree, Ref]] = None
-        for arg in args:
-            if isinstance(arg, (Tree, Ref)):
-                subject = arg
-                break
-        if subject is None:
-            return False
-        progressed = False
-        # `applied` and `matched` both key on the subject's structural
-        # identity: Skolem terms are value-keyed, so equal subjects
-        # produce identical outputs, and the shadowing state must be
-        # shared too — a general rule stays shadowed once a more
-        # specific rule matched this subject, including on later
-        # iterations for a still-pending identifier.
-        matched = self.demand_matched.setdefault(subject, set())
+    def _demand_round(
+        self, pending: List[str], by_functor: Dict[str, List[Rule]]
+    ) -> bool:
+        """Evaluate one round of pending identifiers; True if any rule
+        matched.
+
+        The subject of an identifier is its first tree argument. Each
+        defining rule runs once per round, in ``specific_first`` order,
+        over every subject it was not yet applied to, is not shadowed
+        for and is admitted for. Outputs are then constructed per
+        identifier, per rule, in pending order. Matching reads only the
+        input store, so the Skolem numbering, the shadowing and the
+        ``applied`` bookkeeping are those of evaluating the identifiers
+        one at a time.
+
+        ``applied`` and ``demand_matched`` key on the subject's
+        structural identity: Skolem terms are value-keyed, so equal
+        subjects produce identical outputs, and the shadowing state must
+        be shared too — a general rule stays shadowed once a more
+        specific rule matched this subject, including on later rounds
+        for a still-pending identifier.
+        """
+        subjects: List[Union[Tree, Ref]] = []  # one per demanding identifier
+        demanders: Dict[str, List[int]] = {}  # rule name -> indexes into subjects
+        for identifier in pending:
+            functor, args = self.skolems.key_of(identifier)
+            defining = by_functor.get(functor)
+            subject = next((a for a in args if isinstance(a, (Tree, Ref))), None)
+            if not defining or subject is None:
+                continue
+            self.demand_matched.setdefault(subject, set())
+            for rule in defining:
+                demanders.setdefault(rule.name, []).append(len(subjects))
+            subjects.append(subject)
+        hierarchy = self.interp.hierarchy
         dispatch = self.interp.dispatch
-        for rule in defining:
-            key = (rule.name, subject)
-            if key in self.applied:
+        # Demand index -> its (rule, bindings, warnings), in defining
+        # order: rules are visited in specific_first order, and each
+        # identifier's defining rules are a subsequence of it.
+        claims: Dict[int, List[Tuple[Rule, List[Binding], List[str]]]] = {}
+        for rule in self.order:
+            batch: List[int] = []
+            for index in demanders.get(rule.name, ()):
+                subject = subjects[index]
+                key = (rule.name, subject)
+                if key in self.applied:
+                    continue
+                matched = self.demand_matched[subject]
+                if matched and hierarchy.shadowed(rule, matched):
+                    continue
+                self.applied.add(key)  # a dispatch rejection can never match
+                if dispatch is None or dispatch.admits(
+                    rule, subject, self.dispatch_stats
+                ):
+                    batch.append(index)
+            if not batch:
                 continue
-            if self.interp.hierarchy.shadowed(rule, matched):
-                continue
-            if dispatch is not None and not dispatch.admits(
-                rule, subject, self.dispatch_stats
-            ):
-                self.applied.add(key)  # can never match: remember the rejection
-                continue
-            self.applied.add(key)
-            bindings = self.interp.rule_bindings(
-                rule, [subject], self.match_ctx, self.warnings, self.metrics
+            results = self.interp.rule_bindings(
+                rule, [[subjects[i]] for i in batch], self.match_ctx, self.metrics
             )
-            if not bindings:
-                continue
-            matched.add(rule.name)
-            self._construct_outputs(rule, bindings)
-            progressed = True
+            for index, (bindings, warnings) in zip(batch, results):
+                if bindings:
+                    self.demand_matched[subjects[index]].add(rule.name)
+                if bindings or warnings:
+                    claims.setdefault(index, []).append((rule, bindings, warnings))
+        progressed = False
+        for index in sorted(claims):
+            for rule, bindings, warnings in claims.pop(index):
+                self.warnings.extend(warnings)
+                if bindings:
+                    self._construct_outputs(rule, bindings)
+                    progressed = True
         return progressed
 
     # -- final splicing ----------------------------------------------------------
 
     def finish(self) -> ConversionResult:
-        resolved: Dict[str, Tree] = {}
-        in_progress: Set[str] = set()
-
-        def value_of(identifier: str, via_deref: bool) -> Tree:
-            if identifier in resolved:
-                return resolved[identifier]
-            if identifier in in_progress:
-                raise CyclicProgramError(
-                    f"cyclic dereferencing detected while splicing {identifier!r}"
-                )
-            raw = self.skolems.value(identifier)
-            if raw is None:
-                alias = self.root_refs.get(identifier)
-                if alias is not None:
-                    if is_deref_placeholder(alias):
-                        return value_of(deref_target(alias), True)
-                    return value_of(alias.target, False)
-                raise DanglingReferenceError(
-                    f"no value was associated to {identifier!r} "
-                    f"({_term_text(self.skolems, identifier)})"
-                )
-            if identifier in self.ref_free_ids:
-                # Reference-free by construction: splicing would walk
-                # the tree only to return it unchanged.
-                resolved[identifier] = raw
-                return raw
-            in_progress.add(identifier)
-            try:
-                spliced = splice(raw)
-            finally:
-                in_progress.discard(identifier)
-            resolved[identifier] = spliced
-            return spliced
-
-        def splice(node: Tree) -> Tree:
-            def replace(ref: Ref):
-                if is_deref_placeholder(ref):
-                    return value_of(deref_target(ref), True)
-                return ref
-
-            return node.map_refs(replace)
-
+        splicer = _Splicer(self.skolems, self.root_refs, self.ref_free_ids)
         output = DataStore()
         with span("yatl.splice"):
             for identifier in self.skolems.ids():
                 if not self.skolems.has_value(identifier) and identifier not in self.root_refs:
                     continue
-                try:
-                    output.add(identifier, value_of(identifier, False))
-                except DanglingReferenceError:
-                    raise
+                output.add(identifier, splicer.value_of(identifier))
         # Dangling plain references (known reference-free outputs skip
         # the walk; mirrors DataStore.dangling_references exactly).
         ref_free = self.ref_free_ids
@@ -943,6 +952,13 @@ class _RunState:
             output, self.skolems, unconverted, self.warnings, prov,
             metrics=self.metrics,
         )
+
+    def close(self) -> None:
+        """Break the run's back-references (the constructor's Skolem
+        callback and the arena engine both point back at this state),
+        so reference counting frees the run as soon as it ends."""
+        self.constructor.on_skolem = None
+        self.arena_engine = None
 
     def _flush_metrics(self, output: DataStore, unconverted: List[Tree]) -> None:
         """Flush the hot-path accumulators (dispatch stats, memo hit
@@ -978,6 +994,63 @@ class _RunState:
             m.counter(M_PROVENANCE_FIRINGS).inc(self.prov_firings)
         if self.prov_records:
             m.counter(M_PROVENANCE_RECORDS).inc(self.prov_records)
+
+
+class _Splicer:
+    """Dereference splicing "at the end of rules processing": replaces
+    every dereference placeholder by the (spliced) value of its
+    identifier, memoized per run. Methods rather than closures in
+    :meth:`_RunState.finish`: mutually recursive closures form
+    reference cycles that only the cyclic garbage collector frees."""
+
+    def __init__(
+        self,
+        skolems: SkolemTable,
+        root_refs: Dict[str, Ref],
+        ref_free_ids: Set[str],
+    ) -> None:
+        self.skolems = skolems
+        self.root_refs = root_refs
+        self.ref_free_ids = ref_free_ids
+        self.resolved: Dict[str, Tree] = {}
+        self.in_progress: Set[str] = set()
+
+    def value_of(self, identifier: str) -> Tree:
+        resolved = self.resolved.get(identifier)
+        if resolved is not None:
+            return resolved
+        if identifier in self.in_progress:
+            raise CyclicProgramError(
+                f"cyclic dereferencing detected while splicing {identifier!r}"
+            )
+        raw = self.skolems.value(identifier)
+        if raw is None:
+            alias = self.root_refs.get(identifier)
+            if alias is not None:
+                if is_deref_placeholder(alias):
+                    return self.value_of(deref_target(alias))
+                return self.value_of(alias.target)
+            raise DanglingReferenceError(
+                f"no value was associated to {identifier!r} "
+                f"({_term_text(self.skolems, identifier)})"
+            )
+        if identifier in self.ref_free_ids:
+            # Reference-free by construction: splicing would walk the
+            # tree only to return it unchanged.
+            self.resolved[identifier] = raw
+            return raw
+        self.in_progress.add(identifier)
+        try:
+            spliced = raw.map_refs(self.splice)
+        finally:
+            self.in_progress.discard(identifier)
+        self.resolved[identifier] = spliced
+        return spliced
+
+    def splice(self, ref: Ref) -> Union[Tree, Ref]:
+        if is_deref_placeholder(ref):
+            return self.value_of(deref_target(ref))
+        return ref
 
 
 # ---------------------------------------------------------------------------

@@ -192,52 +192,64 @@ def match_edges(
     variables (Rule 3's shared ``SN``) is covered without contributing.
     """
     results: List[Binding] = []
-    n_edges, n_children = len(edges), len(children)
-
-    def rec(ei: int, ci: int, env: Binding) -> None:
-        if ei == n_edges:
-            if ci == n_children:
-                results.append(env)
-            return
-        edge = edges[ei]
-        if edge.kind == ONE:
-            if ci < n_children:
-                for extended in match_child(edge.target, children[ci], env, ctx):
-                    rec(ei + 1, ci + 1, extended)
-            return
-        # Star-like edges (STAR, INDEX, and GROUP/ORDER appearing in a
-        # body behave as "zero or more"): try every run length,
-        # matching each consumed child exactly once.
-        remaining_one = sum(1 for e in edges[ei + 1 :] if e.kind == ONE)
-        max_run = n_children - ci - remaining_one
-        collected: List[Binding] = []
-        rec(ei + 1, ci, env)  # run of length 0
-        for offset in range(max_run):
-            child = children[ci + offset]
-            child_env = env
-            if edge.kind == INDEX:
-                bound = env.bind(edge.index_var, ci + offset + 1)
-                if bound is None:
-                    # an index conflict skips the child (diagonal
-                    # selection); coverage still requires its shape
-                    if not _covers(edge.target, child, ctx):
-                        break
-                    matches: List[Binding] = []
-                else:
-                    matches = match_child(edge.target, child, bound, ctx)
-            else:
-                matches = match_child(edge.target, child, child_env, ctx)
-            if not matches:
-                if not _covers(edge.target, child, ctx):
-                    break  # structural mismatch: longer runs fail too
-            collected.extend(matches)
-            # a run whose children all conflicted with the join is
-            # covered but contributes no bindings (collected empty)
-            for extended in collected:
-                rec(ei + 1, ci + offset + 1, extended)
-
-    rec(0, 0, binding)
+    _align(edges, children, 0, 0, binding, ctx, results)
     return dedup_bindings(results)
+
+
+def _align(
+    edges: Sequence,
+    children: Sequence[Union[Tree, Ref]],
+    ei: int,
+    ci: int,
+    env: Binding,
+    ctx: MatchContext,
+    results: List[Binding],
+) -> None:
+    """Append to *results* every alignment of ``edges[ei:]`` with
+    ``children[ci:]`` extending *env*, depth first. A module-level
+    function rather than a closure in :func:`match_edges`: a
+    self-referencing closure is a reference cycle, which would leave
+    every binding it touched to the cyclic garbage collector."""
+    n_edges, n_children = len(edges), len(children)
+    if ei == n_edges:
+        if ci == n_children:
+            results.append(env)
+        return
+    edge = edges[ei]
+    if edge.kind == ONE:
+        if ci < n_children:
+            for extended in match_child(edge.target, children[ci], env, ctx):
+                _align(edges, children, ei + 1, ci + 1, extended, ctx, results)
+        return
+    # Star-like edges (STAR, INDEX, and GROUP/ORDER appearing in a
+    # body behave as "zero or more"): try every run length, matching
+    # each consumed child exactly once.
+    remaining_one = sum(1 for e in edges[ei + 1 :] if e.kind == ONE)
+    max_run = n_children - ci - remaining_one
+    collected: List[Binding] = []
+    _align(edges, children, ei + 1, ci, env, ctx, results)  # run of length 0
+    for offset in range(max_run):
+        child = children[ci + offset]
+        if edge.kind == INDEX:
+            bound = env.bind(edge.index_var, ci + offset + 1)
+            if bound is None:
+                # an index conflict skips the child (diagonal
+                # selection); coverage still requires its shape
+                if not _covers(edge.target, child, ctx):
+                    break
+                matches: List[Binding] = []
+            else:
+                matches = match_child(edge.target, child, bound, ctx)
+        else:
+            matches = match_child(edge.target, child, env, ctx)
+        if not matches:
+            if not _covers(edge.target, child, ctx):
+                break  # structural mismatch: longer runs fail too
+        collected.extend(matches)
+        # a run whose children all conflicted with the join is covered
+        # but contributes no bindings (collected empty)
+        for extended in collected:
+            _align(edges, children, ei + 1, ci + offset + 1, extended, ctx, results)
 
 
 # ---------------------------------------------------------------------------
