@@ -169,31 +169,45 @@ def fingerprint_store(
     max_depth = 0
     fanout_sum = 0
     internal = 0
+    # (parent path, its length, symbol) -> (path, its length): a forest
+    # repeats the same few paths at every node, so each is joined once.
+    # The length is part of the key because a symbol may contain "/".
+    extended: Dict[Tuple[str, int, str], Tuple[str, int]] = {}
     for _name, root in store:
         trees += 1
-        # One explicit walk carrying (node, depth, symbol-path) — the
-        # per-node work all the statistics need, in a single pass.
-        stack: List[Tuple[object, int, Tuple[str, ...]]] = [(root, 1, ())]
+        # One explicit walk carrying (node, depth, symbol-path string,
+        # path length) — the per-node work all the statistics need, in
+        # a single pass.
+        stack: List[Tuple[object, int, str, int]] = [(root, 1, "", 0)]
         while stack:
-            node, depth, path = stack.pop()
+            node, depth, path, length = stack.pop()
             if isinstance(node, Ref):
                 refs += 1
                 continue
             nodes += 1
-            max_depth = max(max_depth, depth)
-            symbol, value_type = _intern_label(node.label)
-            if symbol is not None:
+            if depth > max_depth:
+                max_depth = depth
+            label = node.label
+            if isinstance(label, Symbol):
+                symbol = label.name
                 labels[symbol] += 1
-                if len(path) < PATH_DEPTH_CAP:
-                    path = path + (symbol,)
-                    paths.add("/".join(path))
+                if length < PATH_DEPTH_CAP:
+                    key = (path, length, symbol)
+                    step = extended.get(key)
+                    if step is None:
+                        joined = f"{path}/{symbol}" if length else symbol
+                        step = extended[key] = (joined, length + 1)
+                        paths.add(joined)
+                    path, length = step
             else:
-                value_types[value_type] += 1
-            if node.children:
+                value_types[type(label).__name__] += 1
+            children = node.children
+            if children:
                 internal += 1
-                fanout_sum += len(node.children)
-                for child in node.children:
-                    stack.append((child, depth + 1, path))
+                fanout_sum += len(children)
+                depth += 1
+                for child in children:
+                    stack.append((child, depth, path, length))
     return ForestFingerprint(
         trees=trees,
         nodes=nodes,

@@ -890,6 +890,11 @@ class _Handler(BaseHTTPRequestHandler):
     #: thread in readline(); without a timeout that read never returns
     #: and the thread outlives any shutdown attempt.
     timeout = 5
+    #: TCP_NODELAY on every accepted connection (set by the stdlib's
+    #: StreamRequestHandler.setup). With Nagle on, a response written
+    #: in pieces waits for the client's delayed ACK, ~40 ms, whenever
+    #: a keep-alive client sends its next request right away.
+    disable_nagle_algorithm = True
 
     @property
     def mediator(self) -> MediatorServer:
@@ -902,19 +907,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: bytes, content_type: str,
               extra_headers: Optional[Dict[str, str]] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the status line, headers and body with one socket
+        write. The stdlib's send_response / end_headers / write makes
+        two, and Nagle holds back a small second write behind an
+        unacknowledged first one."""
+        reason = self.responses.get(status, ("",))[0]
+        head = [
+            f"{self.protocol_version} {status} {reason}\r\n",
+            f"Server: {self.version_string()}\r\n",
+            f"Date: {self.date_time_string()}\r\n",
+            f"Content-Type: {content_type}\r\n",
+            f"Content-Length: {len(body)}\r\n",
+        ]
         if self.mediator.draining:
             # Persistent connections must not outlive the drain (they
             # would park handler threads and keep feeding requests).
             self.close_connection = True
-            self.send_header("Connection", "close")
+            head.append("Connection: close\r\n")
         for key, value in (extra_headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
+            head.append(f"{key}: {value}\r\n")
+        head.append("\r\n")
         try:
-            self.wfile.write(body)
+            self.wfile.write("".join(head).encode("latin-1", "strict") + body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to salvage
 

@@ -92,33 +92,56 @@ class _Parser:
         return root
 
     def parse_element(self) -> Element:
-        if not self.text.startswith("<", self.pos):
+        """Parse the element starting at ``self.pos``.
+
+        One branch per token on ``text[pos]``: a text run ends at the
+        next ``<`` (one ``str.find``), and a ``<`` opens an end tag, a
+        comment, or a child element. ``self.pos`` is kept current
+        wherever an error can be raised, so messages report the line
+        of the offending token."""
+        text = self.text
+        if not text.startswith("<", self.pos):
             raise self.error("expected a start tag")
         tag = self._read_tag()
         element = Element(tag)
+        children = element.children
+        size = len(text)
+        pos = self.pos
         while True:
-            if self.at_end():
+            if pos >= size:
                 raise self.error(f"unclosed element {tag!r}")
-            if self.text.startswith("</", self.pos):
-                end_tag = self._read_end_tag()
+            if text[pos] != "<":
+                end = text.find("<", pos)
+                if end < 0:
+                    end = size
+                raw = text[pos:end]
+                self.pos = pos = end
+                if "&" in raw:
+                    raw = _decode_entities(raw, self.error)
+                raw = raw.strip()
+                if raw:
+                    children.append(raw)
+                continue
+            follower = text[pos + 1 : pos + 2]
+            if follower == "/":
+                end = text.find(">", pos)
+                if end < 0:
+                    raise self.error("unterminated end tag")
+                end_tag = text[pos + 2 : end].strip()
+                self.pos = end + 1
                 if end_tag != tag:
                     raise self.error(
                         f"mismatched end tag: expected </{tag}>, got </{end_tag}>"
                     )
                 return element
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
+            if follower == "!" and text.startswith("<!--", pos):
+                end = text.find("-->", pos + 4)
                 if end < 0:
                     raise self.error("unterminated comment")
-                self.pos = end + 3
+                self.pos = pos = end + 3
                 continue
-            if self.text.startswith("<", self.pos):
-                element.append(self.parse_element())
-                continue
-            text = self._read_text()
-            if text:
-                element.append(text)
-        raise AssertionError("unreachable")
+            children.append(self.parse_element())
+            pos = self.pos
 
     def _read_tag(self) -> str:
         end = self.text.find(">", self.pos)
@@ -130,26 +153,8 @@ class _Parser:
         self.pos = end + 1
         return name
 
-    def _read_end_tag(self) -> str:
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            raise self.error("unterminated end tag")
-        name = self.text[self.pos + 2 : end].strip()
-        self.pos = end + 1
-        return name
-
-    def _read_text(self) -> str:
-        start = self.pos
-        while not self.at_end() and self.text[self.pos] != "<":
-            self.pos += 1
-        raw = self.text[start : self.pos]
-        decoded = _decode_entities(raw, self.error)
-        return decoded.strip()
-
 
 def _decode_entities(raw: str, error) -> str:
-    if "&" not in raw:
-        return raw
     parts: List[str] = []
     i = 0
     while i < len(raw):

@@ -88,16 +88,20 @@ class SgmlImportWrapper(ImportWrapper[Sequence[Element]]):
         return offset
 
     def element_to_tree(self, element: Element) -> Tree:
+        # Tree._make: every label is a Symbol or a str/int/float atom
+        # and every child a Tree by construction, so __init__'s
+        # validation pass would only re-check that.
+        make = Tree._make
         children = []
         for child in element.children:
             if isinstance(child, str):
                 if not child.strip():
                     continue
                 value = _coerce_text(child) if self.coerce_numbers else child
-                children.append(Tree(value))
+                children.append(make(value))
             else:
                 children.append(self.element_to_tree(child))
-        return Tree(Symbol(element.tag), children)
+        return make(Symbol(element.tag), tuple(children))
 
 
 class SgmlExportWrapper(ExportWrapper[List[Element]]):

@@ -158,8 +158,9 @@ def match_child(
         binding = extended
     elif label != node.label:
         return []
-    if not pattern.edges and node.children:
-        return []  # a pattern leaf only matches a data leaf
+    if not pattern.edges:
+        # a pattern leaf only matches a data leaf
+        return [] if node.children else [binding]
     return match_edges(pattern.edges, node.children, binding, ctx)
 
 
@@ -193,7 +194,7 @@ def match_edges(
     """
     results: List[Binding] = []
     _align(edges, children, 0, 0, binding, ctx, results)
-    return dedup_bindings(results)
+    return dedup_bindings(results) if len(results) > 1 else results
 
 
 def _align(
