@@ -35,19 +35,6 @@ profiler (``repro.obs.profile``, at ``--sampler-hz``): the indexed
 configuration re-run under ``profiling()``, with
 ``--sampler-max-overhead-pct`` as the CI guardrail that default-rate
 sampling stays effectively free.
-
-The **arena leg** runs by default whenever the indexed leg does: the
-same store encoded once into a columnar :class:`ArenaStore` and
-executed on the batch path of ``repro.yatl.arena_exec`` (flat column
-comparisons for the compilable conversion rules, lazy materialization
-for the rest). The one-time encode is reported but excluded from the
-timed leg — in production the arena comes straight from a wrapper's
-zero-copy import, not from re-encoding trees. Outputs must be
-byte-identical to the indexed tree leg (hard gate);
-``--min-arena-speedup`` additionally fails the run when the arena leg
-is not at least that many times faster, and ``--arena-json`` writes
-the pairwise comparison as its own ``dispatch_arena`` artifact for
-``benchmarks/compare.py``. ``--no-arena`` is the ablation switch.
 """
 
 from __future__ import annotations
@@ -67,7 +54,6 @@ except ImportError:  # pytest collects this file as benchmarks.bench_*
         write_report,
     )
 
-from repro.core.arena import ArenaStore  # noqa: E402
 from repro.obs import DEFAULT_HZ, ProvenanceStore, profiling, tracing  # noqa: E402
 from repro.workloads import (  # noqa: E402
     dealer_document_program,
@@ -108,20 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-index", action="store_true",
         help="ablation: run only the unindexed configuration",
-    )
-    parser.add_argument(
-        "--no-arena", action="store_true",
-        help="ablation: skip the columnar arena leg (tree path only)",
-    )
-    parser.add_argument(
-        "--min-arena-speedup", type=float, default=None, metavar="X",
-        help="fail (exit 1) when the arena leg is less than X times "
-             "faster than the indexed tree leg",
-    )
-    parser.add_argument(
-        "--arena-json", metavar="FILE", dest="arena_json_path",
-        help="write the arena-vs-indexed pairwise comparison as its "
-             "own dispatch_arena artifact to FILE",
     )
     parser.add_argument(
         "--provenance", action="store_true",
@@ -212,70 +184,6 @@ def main(argv=None) -> int:
             )
             report["speedup"] = round(speedup, 3)
             print(f"  speedup  : {speedup:9.2f}x  (identical output stores)")
-
-        if not args.no_arena:
-            # One-time columnar encode, excluded from the timed leg: a
-            # production arena comes straight from a wrapper's
-            # zero-copy import, never from re-encoding a tree store.
-            encode_start = time.perf_counter()
-            arena_store = ArenaStore.from_data_store(store)
-            encode_time = time.perf_counter() - encode_start
-            arena_time, arena_result = best_of(
-                lambda: run_once(program, arena_store, use_index=True)[1],
-                args.repeat,
-            )
-            print(
-                f"  arena    : {arena_time * 1000:9.1f} ms  "
-                f"(one-time encode {encode_time * 1000:.1f} ms, untimed)"
-            )
-            leg_data = leg_report(arena_time, arena_result)
-            leg_data["encode_ms"] = round(encode_time * 1000, 3)
-            report["legs"]["arena"] = leg_data
-
-            arena_same = (
-                list(arena_result.store.items())
-                == list(indexed_result.store.items())
-                and list(arena_result.warnings)
-                == list(indexed_result.warnings)
-            )
-            report["arena_identical_outputs"] = arena_same
-            if not arena_same:
-                print(
-                    "FAIL: arena and indexed tree-path runs produced "
-                    "different outputs"
-                )
-                exit_code = 1
-            arena_speedup = (
-                indexed_time / arena_time if arena_time else float("inf")
-            )
-            report["arena_speedup"] = round(arena_speedup, 3)
-            print(
-                f"  arena spd: {arena_speedup:9.2f}x vs the indexed "
-                f"tree leg"
-            )
-            if (
-                args.min_arena_speedup is not None
-                and arena_speedup < args.min_arena_speedup
-            ):
-                print(
-                    f"FAIL: arena speedup {arena_speedup:.2f}x is below "
-                    f"the {args.min_arena_speedup:.2f}x floor"
-                )
-                exit_code = 1
-            if args.arena_json_path:
-                write_report(
-                    {
-                        "benchmark": "dispatch_arena",
-                        "scenario": report["scenario"],
-                        "legs": {
-                            "indexed": report["legs"]["indexed"],
-                            "arena": leg_data,
-                        },
-                        "identical_outputs": arena_same,
-                        "arena_speedup": round(arena_speedup, 3),
-                    },
-                    args.arena_json_path,
-                )
 
         if args.provenance:
             prov_state = {}

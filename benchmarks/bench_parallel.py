@@ -43,7 +43,6 @@ except ImportError:  # pytest collects this file as benchmarks.bench_*
         write_report,
     )
 
-from repro.core.arena import ArenaShard, ArenaStore  # noqa: E402
 from repro.parallel import plan_chunks, resolve_chunk_size  # noqa: E402
 from repro.workloads import (  # noqa: E402
     dealer_document_program,
@@ -262,55 +261,31 @@ def main(argv=None) -> int:
             )
             exit_code = 1
 
-    # Per-shard serialization: what the same chunk plan costs to ship
-    # across the process boundary in each representation — tree chunks
-    # (lists of named Tree objects, pickled node by node) versus
-    # ArenaShard flat buffers (columns pickled as contiguous arrays).
-    # Measured and reported for the trend tables, never gated.
-    def timed_pickle(payloads):
-        start = time.perf_counter()
-        blobs = [pickle.dumps(payload) for payload in payloads]
-        dump_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for blob in blobs:
-            pickle.loads(blob)
-        load_s = time.perf_counter() - start
-        return dump_s, load_s, sum(len(blob) for blob in blobs)
-
+    # Per-shard serialization: what the chunk plan costs to ship across
+    # the process boundary (lists of named Tree objects, pickled node by
+    # node). Measured and reported for the trend tables, never gated.
     chunk_plan = plan_chunks(total, resolve_chunk_size(total, args.chunk_size))
     item_list = store.items()
-    tree_dump_s, tree_load_s, tree_bytes = timed_pickle(
-        [item_list[start:stop] for start, stop in chunk_plan]
-    )
-    encode_start = time.perf_counter()
-    arena_store = ArenaStore.from_data_store(store)
-    encode_s = time.perf_counter() - encode_start
-    arena_dump_s, arena_load_s, arena_bytes = timed_pickle(
-        [ArenaShard.slice(arena_store, start, stop)
-         for start, stop in chunk_plan]
-    )
+    blobs = []
+    start = time.perf_counter()
+    for lo, hi in chunk_plan:
+        blobs.append(pickle.dumps(item_list[lo:hi]))
+    dump_s = time.perf_counter() - start
+    start = time.perf_counter()
+    for blob in blobs:
+        pickle.loads(blob)
+    load_s = time.perf_counter() - start
+    tree_bytes = sum(len(blob) for blob in blobs)
     report["serialization"] = {
         "shards": len(chunk_plan),
-        "tree_pickle_ms": round(tree_dump_s * 1000, 3),
-        "tree_unpickle_ms": round(tree_load_s * 1000, 3),
+        "tree_pickle_ms": round(dump_s * 1000, 3),
+        "tree_unpickle_ms": round(load_s * 1000, 3),
         "tree_bytes": tree_bytes,
-        "arena_pickle_ms": round(arena_dump_s * 1000, 3),
-        "arena_unpickle_ms": round(arena_load_s * 1000, 3),
-        "arena_bytes": arena_bytes,
-        "arena_encode_ms": round(encode_s * 1000, 3),
-        "bytes_ratio": (
-            round(tree_bytes / arena_bytes, 3) if arena_bytes else None
-        ),
-        "pickle_time_ratio": (
-            round(tree_dump_s / arena_dump_s, 3) if arena_dump_s else None
-        ),
     }
     print(
         f"  serialize : {len(chunk_plan)} shard(s)  "
-        f"trees {tree_bytes / 1024:.0f} KiB in {tree_dump_s * 1000:.1f} ms, "
-        f"arena {arena_bytes / 1024:.0f} KiB in {arena_dump_s * 1000:.1f} ms "
-        f"({report['serialization']['bytes_ratio']}x bytes, "
-        f"{report['serialization']['pickle_time_ratio']}x dump time)"
+        f"{tree_bytes / 1024:.0f} KiB pickled in {dump_s * 1000:.1f} ms, "
+        f"unpickled in {load_s * 1000:.1f} ms"
     )
 
     if args.min_speedup is not None:

@@ -12,7 +12,8 @@ loop::
 
 It extracts one *headline metric set* per benchmark family
 (``dispatch_index``: indexed wall ms + speedup; ``parallel_executor``:
-in-process wall ms; ``serve``: throughput + p99), orders artifacts by
+in-process wall ms; ``serve``: throughput + p99; every family: the
+non-gating ``src/`` line count), orders artifacts by
 the PR ordinal in the filename, and compares each artifact against the
 previous one of the same family. A **gating** metric regressing more
 than ``--max-regression-pct`` fails the gate.
@@ -66,12 +67,6 @@ HEADLINES: Dict[str, List[Tuple[str, str, str, bool]]] = {
         ("sampler overhead %",
          "legs.indexed_sampler.overhead_pct", "lower", False),
     ],
-    "dispatch_arena": [
-        ("arena wall ms", "legs.arena.wall_ms", "lower", True),
-        ("arena speedup", "arena_speedup", "higher", False),
-        ("indexed wall ms", "legs.indexed.wall_ms", "lower", False),
-        ("arena encode ms", "legs.arena.encode_ms", "lower", False),
-    ],
     "parallel_executor": [
         ("in-process wall ms", "legs.inprocess.wall_ms", "lower", True),
     ],
@@ -91,6 +86,13 @@ HEADLINES: Dict[str, List[Tuple[str, str, str, bool]]] = {
          "higher", False),
     ],
 }
+
+#: Shown for every family, never gating: the ``src/`` line count
+#: (``runner.write_report`` stamps it), so code size sits next to the
+#: performance it buys.
+COMMON_HEADLINES: List[Tuple[str, str, str, bool]] = [
+    ("src lines", "src_lines", "lower", False),
+]
 
 
 def load_artifact(path: str) -> Dict[str, object]:
@@ -112,7 +114,7 @@ def headline(entry: Dict[str, object]) -> List[Dict[str, object]]:
     rows = []
     for label, path, direction, gating in HEADLINES.get(
         entry["benchmark"], []
-    ):
+    ) + COMMON_HEADLINES:
         value = _dig(entry["data"], path)
         if value is None:
             continue

@@ -24,7 +24,8 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC_DIR)
 
 #: The run metrics every leg report extracts when present (the
 #: observability catalog's interpreter family; see docs/OBSERVABILITY.md).
@@ -159,11 +160,25 @@ def host_info() -> Dict[str, object]:
     }
 
 
+def src_lines(root: str = SRC_DIR) -> int:
+    """Physical lines of every ``*.py`` file under *root* — the code
+    size a benchmark's numbers are bought with."""
+    total = 0
+    for directory, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), "rb") as handle:
+                    total += sum(1 for _ in handle)
+    return total
+
+
 def write_report(report: Dict[str, object], json_path: Optional[str]) -> None:
-    """Write the JSON report when ``--json`` was given (host-stamped)."""
+    """Write the JSON report when ``--json`` was given (stamped with the
+    host and the ``src/`` line count)."""
     if not json_path:
         return
     report.setdefault("host", host_info())
+    report.setdefault("src_lines", src_lines())
     with open(json_path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

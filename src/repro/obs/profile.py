@@ -75,7 +75,6 @@ _FILE_PHASES: Dict[str, str] = {
     "yatl/compose.py": "compose",
     "sgml/parser.py": "parse",
     "sgml/validator.py": "parse",
-    "core/arena.py": "arena",
 }
 
 #: Function-level overrides for ``yatl/interpreter.py``, whose single
@@ -96,26 +95,6 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "splice": "splice",
 }
 
-#: Function-level overrides for ``yatl/arena_exec.py``: the batch
-#: engine's matching and head construction count as ``match`` /
-#: ``construct`` (they do the same pipeline work as the tree path);
-#: everything else in the file — interning, encoding, candidate
-#: filtering, run-length grouping — is ``arena`` time, the columnar
-#: representation's own overhead.
-_ARENA_EXEC_FUNCS: Dict[str, str] = {
-    "match_block": "match",
-    "_match_candidates": "match",
-    "_admitted_candidates": "match",
-    "slow_candidates": "match",
-    "_construct_groups": "construct",
-    "build": "construct",
-    "build_star": "construct",
-    "build_group": "construct",
-    "build_order": "construct",
-    "_agree": "construct",
-    "skolem_args": "skolem",
-}
-
 #: Directory-level fallbacks (checked after files and functions).
 _DIR_PHASES: Tuple[Tuple[str, str], ...] = (
     ("wrappers/", "wrap"),
@@ -129,7 +108,7 @@ _DIR_PHASES: Tuple[Tuple[str, str], ...] = (
 #: Every phase a sample can attribute to (the catalog order used by
 #: reports).
 PHASES: Tuple[str, ...] = (
-    "parse", "wrap", "arena", "match", "construct", "skolem", "compose",
+    "parse", "wrap", "match", "construct", "skolem", "compose",
     "demand", "splice", "serve", "other",
 )
 
@@ -163,8 +142,6 @@ def phase_of_frame(frame: FrameKey) -> Optional[str]:
         return None
     if inside == "yatl/interpreter.py":
         return _INTERPRETER_FUNCS.get(name)
-    if inside == "yatl/arena_exec.py":
-        return _ARENA_EXEC_FUNCS.get(name, "arena")
     phase = _FILE_PHASES.get(inside)
     if phase is not None:
         return phase

@@ -55,7 +55,6 @@ import warnings as _warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core.arena import ArenaShard, ArenaStore
 from .core.trees import DataStore, Ref, Tree
 from .errors import DanglingReferenceError
 from .obs import (
@@ -139,24 +138,6 @@ def plan_chunks(n_inputs: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def plan_chunks_by_count(n_inputs: int, count: int) -> List[Tuple[int, int]]:
-    """Exactly the partitions the deprecated ``parallel_safe_batches``
-    produced (contiguous, near-equal, remainder spread to the front) —
-    kept so the legacy option maps onto the sharded executor without
-    changing a single identifier of existing outputs."""
-    if n_inputs == 0:
-        return []
-    count = min(count, n_inputs)
-    size, remainder = divmod(n_inputs, count)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(count):
-        stop = start + size + (1 if index < remainder else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
 # ---------------------------------------------------------------------------
 # Shard specification
 # ---------------------------------------------------------------------------
@@ -184,7 +165,6 @@ class ShardSpec:
         max_demand_iterations: int = 100_000,
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
-        use_arena: bool = True,
         program_name: Optional[str] = None,
     ) -> None:
         self.rules = list(rules)
@@ -197,7 +177,6 @@ class ShardSpec:
             list(target_functors) if target_functors is not None else None
         )
         self.use_dispatch_index = use_dispatch_index
-        self.use_arena = use_arena
         self.program_name = program_name
 
     def __getstate__(self):
@@ -232,7 +211,6 @@ class ShardSpec:
             max_demand_iterations=self.max_demand_iterations,
             target_functors=self.target_functors,
             use_dispatch_index=self.use_dispatch_index,
-            use_arena=self.use_arena,
             metrics=metrics,
             provenance=provenance,
             program_name=self.program_name,
@@ -327,25 +305,16 @@ def _execute_shard(
     """Run one chunk through a fresh interpreter and return a plain-data
     payload the parent merges. Runs identically in a pool worker and in
     the parent process (``workers=1``) — that equivalence *is* the
-    determinism contract.
-
-    ``items`` is either a list of ``(name, tree)`` pairs or an
-    :class:`~repro.core.arena.ArenaShard`, whose columns crossed the
-    process boundary as flat buffers and are rebuilt here without a
-    per-tree pickle walk.
+    determinism contract. ``items`` are the chunk's ``(name, tree)``
+    pairs.
     """
     started = time.perf_counter()
     metrics = MetricsRegistry()
     prov = ProvenanceStore(sample_rate=sample_rate) if record_provenance else None
     interpreter = spec.build_interpreter(metrics=metrics, provenance=prov)
-    if isinstance(items, ArenaShard):
-        store = items.to_store()
-        n_inputs = len(store)
-    else:
-        store = DataStore()
-        for name, node in items:
-            store.add(name, node)
-        n_inputs = len(items)
+    store = DataStore()
+    for name, node in items:
+        store.add(name, node)
     # Per-shard profiling: a worker process runs its own sampler and
     # ships the aggregated stacks home. The ambient guard keeps the
     # serial fallback from double-counting — in-process shards are
@@ -372,26 +341,12 @@ def _execute_shard(
     finally:
         profile = sampler.stop().to_json() if sampler is not None else None
     unconverted_ids = {id(node) for node in result.unconverted}
-    if not unconverted_ids:
-        unconverted_names: List[str] = []
-    elif isinstance(store, ArenaStore):
-        # Map through the root index instead of iterating the store:
-        # iteration would materialize every root just to name a few.
-        unconverted_names = [
-            store.name_at(i)
-            for i in sorted(
-                i for i in (
-                    store.index_of_tree(node) for node in result.unconverted
-                ) if i is not None
-            )
-        ]
-    else:
-        unconverted_names = [
-            name for name, node in store if id(node) in unconverted_ids
-        ]
+    unconverted_names = [
+        name for name, node in store if id(node) in unconverted_ids
+    ]
     return {
         "index": index,
-        "n_inputs": n_inputs,
+        "n_inputs": len(items),
         "outputs": [(name, node) for name, node in result.store],
         "log": result.skolems.allocation_log(),
         "unconverted": unconverted_names,
@@ -426,7 +381,6 @@ def run_sharded(
     *,
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    chunk_count: Optional[int] = None,
     executor: Optional[ParallelExecutor] = None,
     strict_refs: bool = False,
     metrics: Optional[MetricsRegistry] = None,
@@ -434,12 +388,10 @@ def run_sharded(
 ) -> ConversionResult:
     """Shard *store* across the executor and merge deterministically.
 
-    ``chunk_count`` (used only by the deprecated
-    ``parallel_safe_batches`` mapping) partitions into exactly that many
-    chunks with the legacy arithmetic; otherwise the plan comes from
-    ``resolve_chunk_size``/``plan_chunks``. A single-chunk plan falls
-    back to one plain in-process run under the parent's own metrics,
-    provenance, and ``strict_refs`` — zero sharding overhead.
+    The plan comes from ``resolve_chunk_size``/``plan_chunks``. A
+    single-chunk plan falls back to one plain in-process run under the
+    parent's own metrics, provenance, and ``strict_refs`` — zero
+    sharding overhead.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -450,16 +402,8 @@ def run_sharded(
         registry = MetricsRegistry()
     prov = provenance if provenance is not None else ambient_provenance()
 
-    arena = isinstance(store, ArenaStore)
-    # list(store) on an ArenaStore would materialize every root before
-    # any shard runs; the arena path plans over root *indices* and
-    # slices flat columns instead.
-    items = None if arena else list(store)
-    n_items = len(store) if arena else len(items)
-    if chunk_count is not None:
-        chunks = plan_chunks_by_count(n_items, chunk_count)
-    else:
-        chunks = plan_chunks(n_items, resolve_chunk_size(n_items, chunk_size))
+    items = list(store)
+    chunks = plan_chunks(len(items), resolve_chunk_size(len(items), chunk_size))
 
     effective_workers = executor.workers if executor is not None else workers
 
@@ -479,12 +423,7 @@ def run_sharded(
         }
         return result
 
-    if arena:
-        shard_items = [
-            ArenaShard.slice(store, start, stop) for start, stop in chunks
-        ]
-    else:
-        shard_items = [items[start:stop] for start, stop in chunks]
+    shard_items = [items[start:stop] for start, stop in chunks]
     recorder = ambient_recorder()
     profiler = ambient_profiler()
     opts = {
@@ -524,7 +463,7 @@ def _is_pickling_error(exc: BaseException) -> bool:
 
 def _run_shards(
     spec: ShardSpec,
-    shard_items: List,  # per shard: [(name, tree), ...] or an ArenaShard
+    shard_items: List[List[Tuple[str, Tree]]],
     workers: int,
     executor: Optional[ParallelExecutor],
     opts: Dict[str, object],
@@ -661,11 +600,7 @@ def _merge(
         merge_warnings.append(message)
 
     wanted = set(unconverted_names)
-    # The empty-wanted guard keeps an ArenaStore input from being fully
-    # materialized just to find zero unconverted trees.
-    unconverted = (
-        [node for name, node in input_store if name in wanted] if wanted else []
-    )
+    unconverted = [node for name, node in input_store if name in wanted]
 
     # -- observability aggregation ------------------------------------------
     for payload in payloads:

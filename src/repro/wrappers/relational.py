@@ -11,8 +11,6 @@ trees of that shape.
 
 from __future__ import annotations
 
-
-from ..core.arena import ArenaStore
 from ..core.labels import Symbol, is_atom
 from ..core.trees import DataStore, Tree
 from ..errors import WrapperError
@@ -41,39 +39,6 @@ class RelationalImportWrapper(ImportWrapper[Database]):
         record("wrapper.import.rows", rows, source="relational")
         stamp_inputs(store, "relational")
         stamp_fingerprint(store, "relational")
-        return store
-
-    def to_arena_store(self, source: Database) -> ArenaStore:
-        """Database → :class:`~repro.core.arena.ArenaStore`, writing
-        rows straight into the arena columns — no intermediate
-        :class:`Tree` objects (``Arena.to_trees`` of the result equals
-        the ``to_store`` forest node for node)."""
-        store = ArenaStore()
-        writer = store.arena.writer()
-        rows = 0
-        with span("wrapper.import", source="relational"):
-            for name, table in source:
-                columns = table.schema.column_names()
-                root = writer.open(Symbol(table.schema.name))
-                for row in table.rows():
-                    rows += 1
-                    writer.open(ROW)
-                    for column, value in zip(columns, row):
-                        if value is None:
-                            continue
-                        writer.open(Symbol(column))
-                        writer.leaf(value)
-                        writer.close()
-                    writer.close()
-                writer.close()
-                store.add_root(name, root)
-        record("wrapper.import.trees", len(store), source="relational")
-        record("wrapper.import.rows", rows, source="relational")
-        stamp_inputs(store, "relational")
-        # No stamp_fingerprint here: fingerprinting iterates (name,
-        # tree) pairs, which would materialize every root and defeat
-        # the zero-copy import; the drift gauge stays a tree-path
-        # feature.
         return store
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from ..core.arena import ArenaStore, ArenaWriter
 from ..core.labels import Symbol
 from ..core.trees import DataStore, Ref, Tree
 from ..errors import WrapperError
@@ -52,40 +51,6 @@ class SgmlImportWrapper(ImportWrapper[Sequence[Element]]):
         stamp_inputs(store, "sgml")
         stamp_fingerprint(store, "sgml")
         return store
-
-    def to_arena_store(self, source: Sequence[Element]) -> ArenaStore:
-        """Documents → :class:`~repro.core.arena.ArenaStore`, encoding
-        elements straight into the arena columns (same validation,
-        naming, coercion, and blank-text skipping as ``to_store``; the
-        materialized forest is node-for-node equal)."""
-        if isinstance(source, Element):
-            source = [source]
-        store = ArenaStore()
-        writer = store.arena.writer()
-        with span("wrapper.import", source="sgml", documents=len(source)):
-            for index, document in enumerate(source, start=1):
-                if self.dtd is not None:
-                    validate(document, self.dtd)
-                store.add_root(f"d{index}", self._write_element(writer, document))
-        record("wrapper.import.trees", len(store), source="sgml")
-        stamp_inputs(store, "sgml")
-        # No stamp_fingerprint: it iterates (name, tree) pairs, which
-        # would materialize every root and defeat the zero-copy import.
-        return store
-
-    def _write_element(self, writer: ArenaWriter, element: Element) -> int:
-        offset = writer.open(Symbol(element.tag))
-        for child in element.children:
-            if isinstance(child, str):
-                if not child.strip():
-                    continue
-                writer.leaf(
-                    _coerce_text(child) if self.coerce_numbers else child
-                )
-            else:
-                self._write_element(writer, child)
-        writer.close()
-        return offset
 
     def element_to_tree(self, element: Element) -> Tree:
         # Tree._make: every label is a Symbol or a str/int/float atom

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..core.arena import InternTable, label_alias_ids
 from ..core.labels import Label
 from ..core.patterns import (
     ONE,
@@ -121,8 +120,7 @@ class RootSignature:
     saves.
     """
 
-    __slots__ = ("labels", "domain", "min_children", "unbounded", "refs_only",
-                 "_label_ids")
+    __slots__ = ("labels", "domain", "min_children", "unbounded", "refs_only")
 
     def __init__(
         self,
@@ -137,22 +135,6 @@ class RootSignature:
         self.min_children = min_children
         self.unbounded = unbounded
         self.refs_only = refs_only
-        self._label_ids: Optional[Tuple[int, FrozenSet[int]]] = None
-
-    def label_ids(self, intern: InternTable) -> FrozenSet[int]:
-        """The interned label ids this signature's ``labels`` admit —
-        the arena counterpart of the per-subject label comparison.
-        Includes numeric aliases (``1 == 1.0 == True``), matching what
-        label equality admits on the tree path. Only meaningful when
-        ``labels`` is not None."""
-        cached = self._label_ids
-        if cached is not None and cached[0] is intern:
-            return cached[1]
-        ids: FrozenSet[int] = frozenset().union(
-            *(label_alias_ids(intern, label) for label in self.labels)
-        )
-        self._label_ids = (intern, ids)
-        return ids
 
     def admits(self, subject: Subject) -> bool:
         """Could the indexed pattern match *subject*? False only when a

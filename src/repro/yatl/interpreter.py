@@ -19,11 +19,9 @@ converted by no rule raise, or feed empty-head fallback rules).
 from __future__ import annotations
 
 import time
-import warnings as _warnings
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.arena import ArenaStore
 from ..core.trees import DataStore, Ref, Tree
 from ..errors import (
     CyclicProgramError,
@@ -34,7 +32,6 @@ from ..errors import (
 from ..obs import MetricsRegistry, ambient_registry, span
 from ..obs.metrics import TIME_BUCKETS
 from ..obs.provenance import ProvenanceStore, ambient_provenance
-from .arena_exec import ArenaEngine
 from .ast import Expr, FunctionCall, Rule
 from .bindings import Binding, Value
 from .construction import (
@@ -183,15 +180,6 @@ class Interpreter:
         root-signature dispatch index (see :mod:`.dispatch`). On by
         default; disable to measure the unindexed O(rules × inputs)
         behaviour (the benchmark's ``--no-index`` ablation).
-    use_arena:
-        Evaluate :class:`~repro.core.arena.ArenaStore` inputs on the
-        columnar batch path (see :mod:`.arena_exec`): compilable rules
-        run as flat column comparisons, the rest fall back to the tree
-        matcher over lazily materialized candidates. Outputs are
-        byte-identical either way. Disable (the benchmark's
-        ``--no-arena`` ablation) to convert arena inputs to a
-        :class:`~repro.core.trees.DataStore` up front and run the plain
-        tree path. Irrelevant for non-arena inputs.
     workers:
         Evaluate the top-level input forest with the multi-process
         executor of :mod:`repro.parallel`: the inputs are split into
@@ -209,15 +197,6 @@ class Interpreter:
         A shared :class:`repro.parallel.ParallelExecutor` (e.g. the
         serve plane's per-process pool); without one an ephemeral pool
         is created per run when ``workers > 1``.
-    parallel_safe_batches:
-        Deprecated — use ``workers=``/``chunk_size=``. Historically
-        this only *partitioned* the inputs into contiguous batches
-        evaluated sequentially in one process (it never ran anything
-        concurrently, despite the name). It now maps onto the sharded
-        executor with ``workers=1`` and that many chunks, which keeps
-        the old contract: results equivalent to a single pass, with
-        identifiers numbered in chunk order rather than rule-major
-        order.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to account the run(s)
         into. When omitted, each run uses the ambient registry
@@ -247,8 +226,6 @@ class Interpreter:
         max_demand_iterations: int = 100_000,
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
-        use_arena: bool = True,
-        parallel_safe_batches: Optional[int] = None,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         executor=None,
@@ -267,18 +244,6 @@ class Interpreter:
         self.provenance = provenance
         self.program_name = program_name
         self.dispatch = self.hierarchy.dispatch_index() if use_dispatch_index else None
-        self.use_arena = use_arena
-        if parallel_safe_batches is not None and parallel_safe_batches < 1:
-            raise ValueError("parallel_safe_batches must be >= 1")
-        if parallel_safe_batches is not None:
-            _warnings.warn(
-                "parallel_safe_batches is deprecated; use workers= and "
-                "chunk_size= (it maps onto the sharded executor of "
-                "repro.parallel with workers=1)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.parallel_safe_batches = parallel_safe_batches
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
@@ -324,17 +289,11 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def run(self, data: Union[DataStore, Sequence[Tree], Tree]) -> ConversionResult:
-        store = _as_store(data, self.use_arena)
+        store = _as_store(data)
         workers = self.workers
-        chunk_count = None
         if workers is None and self.executor is not None:
             # A shared pool is an explicit opt-in: use its worker count.
             workers = self.executor.workers
-        if workers is None and (self.parallel_safe_batches or 0) > 1:
-            # Deprecated batching maps onto the sharded executor run
-            # serially in-process: same contiguous partitions, one
-            # reconciled Skolem table.
-            workers, chunk_count = 1, self.parallel_safe_batches
         if workers is not None:
             from ..parallel import run_sharded  # cycle: parallel runs interpreters
 
@@ -343,7 +302,6 @@ class Interpreter:
                 store,
                 workers=workers,
                 chunk_size=self.chunk_size,
-                chunk_count=chunk_count,
                 executor=self.executor,
                 strict_refs=self.strict_refs,
                 metrics=self.metrics,
@@ -354,7 +312,7 @@ class Interpreter:
     def run_local(self, data: Union[DataStore, Sequence[Tree], Tree]) -> ConversionResult:
         """One plain single-process pass (no sharding) — the execution
         primitive :mod:`repro.parallel` runs once per chunk."""
-        store = _as_store(data, self.use_arena)
+        store = _as_store(data)
         state = _RunState(self, store)
         try:
             with span("yatl.run", rules=len(self.rules), inputs=state.n_inputs):
@@ -380,7 +338,6 @@ class Interpreter:
             max_demand_iterations=self.max_demand_iterations,
             target_functors=self.target_functors,
             use_dispatch_index=self.dispatch is not None,
-            use_arena=self.use_arena,
             program_name=self.program_name,
         )
 
@@ -499,17 +456,8 @@ class _RunState:
     def __init__(self, interpreter: Interpreter, store: DataStore) -> None:
         self.interp = interpreter
         self.input_store = store
-        # Arena inputs stay columnar: roots are matched by index and
-        # decoded lazily, so `inputs` holds only what got materialized
-        # (see ArenaEngine); everything downstream sizes itself off
-        # `n_inputs` and fetches leftovers via `_leftover_inputs`.
-        self.arena_engine: Optional[ArenaEngine] = None
-        if isinstance(store, ArenaStore):
-            self.arena_engine = ArenaEngine(self, store)
-            self.inputs: List[Tree] = []
-        else:
-            self.inputs = store.trees()
-        self.n_inputs = len(store)
+        self.inputs: List[Tree] = store.trees()
+        self.n_inputs = len(self.inputs)
         self.skolems = SkolemTable()
         self.warnings: List[str] = []
         # One registry per run unless the interpreter (or an ambient
@@ -544,30 +492,19 @@ class _RunState:
         self.matched_values: Set[Tree] = set()
         self.root_refs: Dict[str, Ref] = {}  # heads that built a bare reference
         self.order = interpreter.hierarchy.specific_first()
-        # Hierarchy shadowing state, keyed by id(input tree); spans
-        # batches (batches never share tree objects).
+        # Hierarchy shadowing state, keyed by id(input tree).
         self._matched_by: Dict[int, Set[str]] = {}
         # Dispatch-index candidate lists, shared between rules with
-        # equivalent signatures; one cache per batch (see
+        # equivalent signatures; one cache per candidate list (the
+        # inputs, then the fallback leftovers; see
         # RuleDispatchIndex.candidates).
         self._candidate_caches: Dict[int, Dict] = {}
         # Provenance: output identifier -> names of the input trees it
         # was derived from. Demand-driven outputs inherit the origins of
         # the output whose construction demanded them.
         self.provenance: Dict[str, Set[str]] = {}
-        # For arena inputs the map is filled at materialization time
-        # (iterating the store here would decode every root eagerly).
-        self._input_names: Dict[int, str] = (
-            {}
-            if self.arena_engine is not None
-            else {id(node): name for name, node in store}
-        )
+        self._input_names: Dict[int, str] = {id(node): name for name, node in store}
         self._active_origins: Set[str] = set()
-        # Identifiers whose associated value is known reference-free
-        # (the arena fast path never builds reference leaves — the
-        # compiler rejects them): finish() skips their splice and
-        # dangling-reference walks.
-        self.ref_free_ids: Set[str] = set()
         # Detailed per-firing recorder: explicit or ambient, usually
         # None. Resolved once per run; when None the construct path pays
         # exactly one extra `is not None` check per output group.
@@ -591,40 +528,17 @@ class _RunState:
 
     # -- top-level application --------------------------------------------------
 
-    def apply_top_level(self, inputs: Optional[List[Tree]] = None) -> None:
-        """Apply every non-fallback rule over *inputs* (one batch; the
-        whole input set by default), with hierarchy shadowing per root
-        input tree. Fallback rules run afterwards, once, over the whole
-        run's leftovers — see :meth:`apply_fallbacks`."""
-        if inputs is None and self.arena_engine is not None:
-            self._apply_top_level_arena()
-            return
-        if inputs is None:
-            inputs = self.inputs
+    def apply_top_level(self) -> None:
+        """Apply every non-fallback rule over the inputs, with hierarchy
+        shadowing per root input tree. Fallback rules run afterwards,
+        once, over the run's leftovers — see :meth:`apply_fallbacks`."""
         needed = self.interp.needed_functors
         for rule in self.order:
             if rule.is_fallback:
                 continue
             if needed is not None and rule.head_functor not in needed:
                 continue  # targeted evaluation: this output is not queried
-            self._apply_rule_with_shadowing(rule, inputs)
-
-    def _apply_top_level_arena(self) -> None:
-        """Top-level application over an arena: compilable rules run
-        entirely on the columns (:meth:`ArenaEngine.apply_rule`); the
-        rest run the existing tree path over candidates the engine
-        prefilters — and lazily materializes — from the label/arity
-        columns."""
-        engine = self.arena_engine
-        needed = self.interp.needed_functors
-        for rule in self.order:
-            if rule.is_fallback:
-                continue
-            if needed is not None and rule.head_functor not in needed:
-                continue  # targeted evaluation: this output is not queried
-            if engine.apply_rule(rule):
-                continue
-            self._apply_rule_with_shadowing(rule, engine.slow_candidates(rule))
+            self._apply_rule_with_shadowing(rule, self.inputs)
 
     def apply_fallbacks(self) -> None:
         """Fallback (empty-head) rules over the inputs no other rule
@@ -662,8 +576,6 @@ class _RunState:
 
     def _leftover_inputs(self) -> List[Tree]:
         """The inputs no rule converted so far, in store order."""
-        if self.arena_engine is not None:
-            return self.arena_engine.unconverted_inputs()
         return [t for t in self.inputs if not self._converted(t)]
 
     def _candidates(self, rule: Rule, inputs: List[Tree]) -> Sequence[Tree]:
@@ -914,25 +826,14 @@ class _RunState:
     # -- final splicing ----------------------------------------------------------
 
     def finish(self) -> ConversionResult:
-        splicer = _Splicer(self.skolems, self.root_refs, self.ref_free_ids)
+        splicer = _Splicer(self.skolems, self.root_refs)
         output = DataStore()
         with span("yatl.splice"):
             for identifier in self.skolems.ids():
                 if not self.skolems.has_value(identifier) and identifier not in self.root_refs:
                     continue
                 output.add(identifier, splicer.value_of(identifier))
-        # Dangling plain references (known reference-free outputs skip
-        # the walk; mirrors DataStore.dangling_references exactly).
-        ref_free = self.ref_free_ids
-        dangling = sorted(
-            {
-                ref.target
-                for name, node in output
-                if name not in ref_free
-                for ref in node.references()
-                if ref.target not in output
-            }
-        )
+        dangling = sorted(set(output.dangling_references()))
         if dangling:
             message = f"dangling reference(s) in output: {', '.join(dangling)}"
             if self.interp.strict_refs:
@@ -954,11 +855,10 @@ class _RunState:
         )
 
     def close(self) -> None:
-        """Break the run's back-references (the constructor's Skolem
-        callback and the arena engine both point back at this state),
-        so reference counting frees the run as soon as it ends."""
+        """Break the run's back-reference (the constructor's Skolem
+        callback points back at this state), so reference counting frees
+        the run as soon as it ends."""
         self.constructor.on_skolem = None
-        self.arena_engine = None
 
     def _flush_metrics(self, output: DataStore, unconverted: List[Tree]) -> None:
         """Flush the hot-path accumulators (dispatch stats, memo hit
@@ -1003,15 +903,9 @@ class _Splicer:
     :meth:`_RunState.finish`: mutually recursive closures form
     reference cycles that only the cyclic garbage collector frees."""
 
-    def __init__(
-        self,
-        skolems: SkolemTable,
-        root_refs: Dict[str, Ref],
-        ref_free_ids: Set[str],
-    ) -> None:
+    def __init__(self, skolems: SkolemTable, root_refs: Dict[str, Ref]) -> None:
         self.skolems = skolems
         self.root_refs = root_refs
-        self.ref_free_ids = ref_free_ids
         self.resolved: Dict[str, Tree] = {}
         self.in_progress: Set[str] = set()
 
@@ -1034,11 +928,6 @@ class _Splicer:
                 f"no value was associated to {identifier!r} "
                 f"({_term_text(self.skolems, identifier)})"
             )
-        if identifier in self.ref_free_ids:
-            # Reference-free by construction: splicing would walk the
-            # tree only to return it unchanged.
-            self.resolved[identifier] = raw
-            return raw
         self.in_progress.add(identifier)
         try:
             spliced = raw.map_refs(self.splice)
@@ -1060,14 +949,7 @@ class _Splicer:
 _MISSING = object()
 
 
-def _as_store(
-    data: Union[DataStore, Sequence[Tree], Tree], use_arena: bool = True
-) -> DataStore:
-    if isinstance(data, ArenaStore):
-        # The ForestView seam: an arena input engages the batch path
-        # unless the ablation flag turns it off, in which case it is
-        # materialized up front and runs the plain tree path.
-        return data if use_arena else data.to_data_store()
+def _as_store(data: Union[DataStore, Sequence[Tree], Tree]) -> DataStore:
     if isinstance(data, DataStore):
         return data
     if isinstance(data, Tree):

@@ -54,52 +54,6 @@ class TestPhaseAttribution:
         assert phase_of_frame(frame) == "construct"
 
 
-ARENA_INTERN = _key("intern", "/x/src/repro/core/arena.py", 101)
-ARENA_ENCODE = _key("encode", "/x/src/repro/core/arena.py", 269)
-ARENA_FILTER = _key("_admitted_candidates",
-                    "/x/src/repro/yatl/arena_exec.py", 548)
-ARENA_RUNLENGTH = _key("group_runs", "/x/src/repro/core/arena.py", 365)
-ARENA_MATCH = _key("match_block", "/x/src/repro/yatl/arena_exec.py", 90)
-ARENA_BUILD = _key("build_order", "/x/src/repro/yatl/arena_exec.py", 299)
-ARENA_ENGINE = _key("root_buckets", "/x/src/repro/yatl/arena_exec.py", 398)
-
-
-class TestArenaPhase:
-    """The columnar engine's frames land in the catalog: representation
-    work is ``arena``, its matching/head construction count toward the
-    pipeline phases they replace."""
-
-    def test_arena_columns_attribute_to_arena(self):
-        assert phase_of_frame(ARENA_INTERN) == "arena"
-        assert phase_of_frame(ARENA_ENCODE) == "arena"
-        assert phase_of_frame(ARENA_RUNLENGTH) == "arena"
-        assert phase_of_frame(ARENA_ENGINE) == "arena"
-
-    def test_batch_matching_counts_as_match_and_construct(self):
-        assert phase_of_frame(ARENA_FILTER) == "match"
-        assert phase_of_frame(ARENA_MATCH) == "match"
-        assert phase_of_frame(ARENA_BUILD) == "construct"
-
-    def test_arena_in_phase_catalog(self):
-        from repro.obs.profile import PHASES
-
-        assert "arena" in PHASES
-        assert PHASES.index("arena") < PHASES.index("other")
-
-    def test_collapsed_stacks_attribute_arena_phase(self):
-        profile = Profile()
-        profile.add_stack((MAIN, ARENA_INTERN), seconds=0.02, count=2)
-        profile.add_stack((MAIN, ARENA_MATCH), seconds=0.03, count=3)
-        profile.add_stack((MAIN, ARENA_MATCH, ARENA_RUNLENGTH),
-                          seconds=0.01, count=1)
-        totals = profile.phase_totals()
-        assert totals["arena"]["samples"] == 3  # intern + leafmost runlength
-        assert totals["match"]["samples"] == 3
-        collapsed = profile.collapsed()
-        assert ";repro/core/arena.py:intern 2" in collapsed
-        assert "repro/yatl/arena_exec.py:match_block" in collapsed
-
-
 class TestProfile:
     def test_add_and_totals(self):
         profile = Profile(hz=100.0)

@@ -227,3 +227,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# Benchmark trend report" in out
         assert "dispatch_index" in out
+
+
+class TestSrcLines:
+    def test_count_covers_python_files_only(self, tmp_path):
+        from benchmarks.runner import src_lines
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "pkg" / "b.py").write_text("z = 3\n")
+        (tmp_path / "pkg" / "notes.md").write_text("ignored\nlines\n")
+        assert src_lines(str(tmp_path)) == 3
+
+    def test_write_report_stamps_src_lines(self, tmp_path):
+        from benchmarks.runner import src_lines, write_report
+
+        path = tmp_path / "BENCH_PR1.json"
+        write_report({"benchmark": "dispatch_index"}, str(path))
+        stamped = json.loads(path.read_text())["src_lines"]
+        assert stamped == src_lines() > 0
+
+    def test_trend_row_never_gates(self):
+        before, after = dispatch_artifact(1, 100), dispatch_artifact(2, 100)
+        before["data"]["src_lines"] = 1000
+        after["data"]["src_lines"] = 2000  # +100%, far past the budget
+        report = compare([before, after], max_regression_pct=20)
+        assert report["regressions"] == []
+        markdown = to_markdown(report)
+        assert "src lines" in markdown
+        assert "- src lines: 1000 → 2000 (+100.0% worse)" in markdown

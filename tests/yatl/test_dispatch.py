@@ -1,5 +1,5 @@
 """Rule-dispatch indexing: signature extraction, indexed/unindexed
-equivalence, batching, and the fallback/demand accounting fixes."""
+equivalence, and the fallback/demand accounting fixes."""
 
 import pytest
 
@@ -18,11 +18,14 @@ from repro.workloads import (
     brochure_elements,
     brochure_trees,
     dealer_database,
+    dealer_document_program,
+    dealer_document_store,
+    document_kind_names,
     sales_matrix,
 )
 from repro.wrappers.relational import RelationalImportWrapper
 from repro.wrappers.sgml import SgmlImportWrapper
-from repro.yatl import Interpreter, MatchContext, match_body
+from repro.yatl import MatchContext, match_body
 from repro.yatl.dispatch import (
     WILDCARD,
     RuleDispatchIndex,
@@ -228,63 +231,37 @@ class TestIndexEquivalence:
         result = assert_index_equivalent(brochures_rule3_program(), store)
         assert result.ids_of("Pcar")
 
+    def test_dealer_workload(self):
+        kinds = document_kind_names(6)
+        store = dealer_document_store(12, 50, kinds)
+        result = assert_index_equivalent(dealer_document_program(kinds), store)
+        assert len(result.store) and not result.unconverted
 
-# ---------------------------------------------------------------------------
-# Batched evaluation
-# ---------------------------------------------------------------------------
+    def test_numeric_label_conflation(self):
+        # 1 == 1.0 == True: a fixed numeric pattern label admits all
+        # three spellings, as Python label equality does.
+        program = parse_program(
+            "program N\nrule R:\n  Out(X) : hit -> X\n<=\n  P : 1 -> X\nend"
+        )
+        inputs = [
+            Tree(1, (Tree("a"),)),
+            Tree(1.0, (Tree("b"),)),
+            Tree(True, (Tree("c"),)),
+            Tree(2, (Tree("d"),)),
+        ]
+        result = assert_index_equivalent(program, inputs)
+        assert len(result.store) == 3
+        assert result.unconverted == [inputs[3]]
 
-
-def materialized_outputs(result):
-    """Identifier-independent view of a result: every output fully
-    spliced, as rendered text, sorted."""
-    return sorted(
-        str(result.store.materialize(name)) for name in result.store.names()
-    )
-
-
-class TestBatching:
-    """``parallel_safe_batches`` is deprecated (it maps onto the
-    sharded executor of ``repro.parallel`` with ``workers=1``); every
-    use must keep working *and* warn."""
-
-    def test_single_batch_is_identical(self, brochures_program):
-        inputs = brochure_trees(6, distinct_suppliers=3)
-        plain = brochures_program.run(inputs)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(inputs, parallel_safe_batches=1)
-        assert list(plain.store.items()) == list(batched.store.items())
-
-    @pytest.mark.parametrize("batches", [2, 3, 7])
-    def test_batches_equivalent_up_to_naming(self, brochures_program, batches):
-        inputs = brochure_trees(7, distinct_suppliers=3)
-        plain = brochures_program.run(inputs)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(
-                inputs, parallel_safe_batches=batches
-            )
-        assert len(batched.store) == len(plain.store)
-        assert materialized_outputs(batched) == materialized_outputs(plain)
-        assert batched.unconverted == plain.unconverted
-
-    def test_batches_match_sharded_executor(self, brochures_program):
-        """The deprecated option is a pure alias for the executor's
-        legacy chunk plan — outputs byte-identical to workers=1 with
-        the same partitions."""
-        inputs = brochure_trees(7, distinct_suppliers=3)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(inputs, parallel_safe_batches=3)
-        assert batched.parallel == {"mode": "serial", "shards": 3, "workers": 1}
-
-    def test_more_batches_than_inputs(self, brochures_program, brochure_b1):
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            result = brochures_program.run(
-                [brochure_b1], parallel_safe_batches=5
-            )
-        assert result.ids_of("Pcar") == ["c1"]
-
-    def test_invalid_batch_count_rejected(self, brochures_program):
-        with pytest.raises(ValueError):
-            Interpreter(brochures_program.rules, parallel_safe_batches=0)
+    def test_predicate_filtering_leaves_unconverted(self):
+        program = parse_program(
+            "program P\nrule R:\n  Out(X) : o -> X\n<=\n"
+            "  P : a -> v -> X,\n  X > 10\nend"
+        )
+        low, high = tree("a", tree("v", atom(5))), tree("a", tree("v", atom(50)))
+        result = assert_index_equivalent(program, [low, high])
+        assert result.ids_of("Out") == ["o1"]
+        assert result.unconverted == [low]  # X=5 fails X > 10
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +292,8 @@ class TestFallbackAccounting:
     def test_stray_still_reported(self):
         program = parse_program(LEGACY_TEXT)
         stray = tree("unrelated", atom(3))
-        result = program.run([tree("legacy", atom(2)), stray])
+        result = program.run([tree("a", atom(1)), tree("legacy", atom(2)), stray])
+        assert result.ids_of("Out") == ["o1"]
         assert result.unconverted == [stray]
 
     def test_runtime_typing_raises_past_fallbacks(self):
