@@ -177,15 +177,20 @@ def is_instance(
     """
     ctx = context or InstantiationContext()
     if isinstance(instance, Pattern) or isinstance(source, Pattern):
-        inst_alts = (
-            instance.alternatives if isinstance(instance, Pattern) else (instance,)
-        )
-        src_alts = source.alternatives if isinstance(source, Pattern) else (source,)
         # Memo keys must be structural: keying on id() is unsound when
         # a temporary node is garbage-collected and its address reused
         # within the lifetime of a shared context.
         inst_key = instance.name if isinstance(instance, Pattern) else instance
         src_key = source.name if isinstance(source, Pattern) else source
+        # Settled pairs first: run-time typing re-checks the same
+        # (subtree, pattern) pairs many times over.
+        settled = ctx._settled.get((inst_key, src_key))
+        if settled is not None:
+            return settled
+        inst_alts = (
+            instance.alternatives if isinstance(instance, Pattern) else (instance,)
+        )
+        src_alts = source.alternatives if isinstance(source, Pattern) else (source,)
 
         def compute() -> bool:
             return all(

@@ -83,9 +83,9 @@ class Tree:
         a tuple of ``Tree``/``Ref`` nodes and *label* a valid label —
         skips the validation ``__init__`` performs on foreign input."""
         node = object.__new__(cls)
-        object.__setattr__(node, "label", label)
-        object.__setattr__(node, "children", children)
-        object.__setattr__(node, "_hash", hash((Tree, label, children)))
+        _set_label(node, label)
+        _set_children(node, children)
+        _set_hash(node, hash((Tree, label, children)))
         return node
 
     def __setattr__(self, key: str, value: object) -> None:
@@ -210,6 +210,13 @@ class Tree:
 
     def __str__(self) -> str:
         return render_tree(self)
+
+
+# The slot setters themselves: cheaper than ``object.__setattr__``, and
+# like it they bypass the immutability guard.
+_set_label = Tree.label.__set__
+_set_children = Tree.children.__set__
+_set_hash = Tree._hash.__set__
 
 
 def tree(label: Union[Label, str], *children: Union[Child, Label]) -> Tree:

@@ -204,6 +204,24 @@ class Rule:
         self.predicates = list(predicates)
         self.calls = list(calls)
         self._root_body_patterns = _root_body_patterns(self.body)
+        self._plan = None
+
+    def plan(self):
+        """The rule's evaluation plan (:class:`~repro.yatl.plan.RulePlan`):
+        its match program and head builder, compiled on the first call
+        and cached. Derived state: dropped from pickles and rebuilt on
+        first use in the receiving process."""
+        plan = self._plan
+        if plan is None:
+            from .plan import RulePlan  # deferred: the plan compiles this AST
+
+            plan = self._plan = RulePlan(self)
+        return plan
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_plan"] = None
+        return state
 
     # -- analysis -----------------------------------------------------------
 

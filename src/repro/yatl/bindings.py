@@ -64,13 +64,18 @@ class Binding:
         """Bind *var* to *value*; returns None on a conflicting binding
         (the same variable already holds a different value — this is how
         shared variables implement joins, Section 3.2)."""
-        name = var if isinstance(var, str) else var.name
-        existing = self._items.get(name)
-        if existing is not None or name in self._items:
+        return self.bind_name(var if isinstance(var, str) else var.name, value)
+
+    def bind_name(self, name: str, value: Value) -> Optional["Binding"]:
+        """:meth:`bind` by variable name — what compiled match programs
+        call, with the name resolved once at compile time."""
+        items = self._items
+        existing = items.get(name, _ABSENT)
+        if existing is not _ABSENT:
             return self if existing == value else None
-        extended = dict(self._items)
+        extended = items.copy()
         extended[name] = value
-        return Binding(extended)
+        return _trusted(extended)
 
     def merge(self, other: "Binding") -> Optional["Binding"]:
         """Combine two bindings; None if they disagree on any variable."""
@@ -78,12 +83,12 @@ class Binding:
             return other.merge(self)
         merged = dict(other._items)
         for name, value in self._items.items():
-            existing = merged.get(name)
-            if existing is None and name not in merged:
+            existing = merged.get(name, _ABSENT)
+            if existing is _ABSENT:
                 merged[name] = value
             elif existing != value:
                 return None
-        return Binding(merged)
+        return _trusted(merged)
 
     def project(self, names: Sequence[str]) -> Tuple[Value, ...]:
         """Values of *names* in order (used for Skolem and grouping keys)."""
@@ -109,6 +114,19 @@ class Binding:
 
 
 Binding.EMPTY = Binding()
+
+_ABSENT = object()
+_set_items = Binding._items.__set__
+_set_hash = Binding._hash.__set__
+
+
+def _trusted(items: Dict[str, Value]) -> Binding:
+    """A binding that takes ownership of *items*, a fresh dict nobody
+    else holds: the one copy is the caller's, not ``__init__``'s."""
+    binding = object.__new__(Binding)
+    _set_items(binding, items)
+    _set_hash(binding, None)
+    return binding
 
 
 def _render_value(value: Value) -> str:

@@ -18,7 +18,10 @@ converted by no rule raise, or feed empty-head fallback rules).
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import contextmanager
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -35,6 +38,7 @@ from ..obs.provenance import ProvenanceStore, ambient_provenance
 from .ast import Expr, FunctionCall, Rule
 from .bindings import Binding, Value
 from .construction import (
+    DEREF_MARK,
     Constructor,
     Unbound,
     deref_target,
@@ -43,7 +47,7 @@ from .construction import (
 from .dispatch import DispatchStats
 from .functions import FunctionRegistry, evaluate_comparison, standard_registry
 from .hierarchy import Hierarchy
-from .matching import MatchContext, match_body
+from .matching import MatchContext
 from .skolem import SkolemTable
 from ..core.variables import PatternVar, Var
 
@@ -315,7 +319,9 @@ class Interpreter:
         store = _as_store(data)
         state = _RunState(self, store)
         try:
-            with span("yatl.run", rules=len(self.rules), inputs=state.n_inputs):
+            with collector_paused(), span(
+                "yatl.run", rules=len(self.rules), inputs=state.n_inputs
+            ):
                 state.metrics.counter(M_BATCHES).inc(1)
                 state.apply_top_level()
                 state.apply_fallbacks()
@@ -361,8 +367,9 @@ class Interpreter:
         subjects as a group of one."""
         with span("yatl.rule", rule=rule.name, candidates=sum(map(len, groups))):
             started = time.perf_counter() if metrics is not None else 0.0
+            body = rule.plan().body
             with span("yatl.phase.match", rule=rule.name):
-                matched = [match_body(rule, group, mctx) for group in groups]  # phase 1
+                matched = [body.match(group, mctx) for group in groups]  # phase 1
             n_matched = sum(map(len, matched))
             if metrics is not None:
                 metrics.counter(M_RULE_APPLICATIONS).inc(rule=rule.name)
@@ -643,12 +650,13 @@ class _RunState:
     def _construct_outputs(self, rule: Rule, bindings: List[Binding]) -> None:
         if rule.head is None:
             return
-        head = rule.head
+        plan = rule.plan()
+        constructor = self.constructor
         groups: Dict[str, List[Binding]] = {}
         order: List[str] = []
         for binding in bindings:
             try:
-                identifier = self.constructor.skolem_id(head.term, binding, False)
+                identifier = constructor.skolem_id(plan.head_term, binding, False)
             except Unbound:
                 continue  # missing Skolem argument: no output for it
             if identifier not in groups:
@@ -667,7 +675,7 @@ class _RunState:
                 previous_origins = self._active_origins
                 self._active_origins = self.provenance[identifier]
                 try:
-                    value = self.constructor.construct(head.tree, group)
+                    value = constructor.build(plan.head, group)
                 except Unbound as unbound:
                     self.warnings.append(
                         f"rule {rule.name!r}: output {identifier} skipped "
@@ -833,7 +841,8 @@ class _RunState:
                 if not self.skolems.has_value(identifier) and identifier not in self.root_refs:
                     continue
                 output.add(identifier, splicer.value_of(identifier))
-        dangling = sorted(set(output.dangling_references()))
+        # Every reference of the output passed through the splice walk.
+        dangling = sorted(t for t in splicer.ref_targets if t not in output)
         if dangling:
             message = f"dangling reference(s) in output: {', '.join(dangling)}"
             if self.interp.strict_refs:
@@ -899,15 +908,18 @@ class _RunState:
 class _Splicer:
     """Dereference splicing "at the end of rules processing": replaces
     every dereference placeholder by the (spliced) value of its
-    identifier, memoized per run. Methods rather than closures in
-    :meth:`_RunState.finish`: mutually recursive closures form
-    reference cycles that only the cyclic garbage collector frees."""
+    identifier, memoized per run, and collects the targets of the
+    genuine references it passes (for the dangling-reference check).
+    Methods rather than closures in :meth:`_RunState.finish`: mutually
+    recursive closures form reference cycles that only the cyclic
+    garbage collector frees."""
 
     def __init__(self, skolems: SkolemTable, root_refs: Dict[str, Ref]) -> None:
         self.skolems = skolems
         self.root_refs = root_refs
         self.resolved: Dict[str, Tree] = {}
         self.in_progress: Set[str] = set()
+        self.ref_targets: Set[str] = set()
 
     def value_of(self, identifier: str) -> Tree:
         resolved = self.resolved.get(identifier)
@@ -930,16 +942,95 @@ class _Splicer:
             )
         self.in_progress.add(identifier)
         try:
-            spliced = raw.map_refs(self.splice)
+            spliced = self.splice(raw)
         finally:
             self.in_progress.discard(identifier)
         self.resolved[identifier] = spliced
         return spliced
 
-    def splice(self, ref: Ref) -> Union[Tree, Ref]:
-        if is_deref_placeholder(ref):
-            return self.value_of(deref_target(ref))
-        return ref
+    def splice(self, node: Tree) -> Tree:
+        """*node* with its placeholders spliced, rebuilt only where
+        something changed — through the trusted constructor, since every
+        child is a tree or reference already."""
+        changed = False
+        children: List[Union[Tree, Ref]] = []
+        for child in node.children:
+            if isinstance(child, Ref):
+                target = child.target
+                if target.startswith(DEREF_MARK):
+                    child = self.value_of(target[len(DEREF_MARK):])
+                    changed = True
+                else:
+                    self.ref_targets.add(target)
+            elif child.children:
+                spliced = self.splice(child)
+                if spliced is not child:
+                    child, changed = spliced, True
+            children.append(child)
+        return Tree._make(node.label, tuple(children)) if changed else node
+
+
+# ---------------------------------------------------------------------------
+# Collector pause
+# ---------------------------------------------------------------------------
+
+#: Longest the collector stays paused while runs overlap without a
+#: break (a busy daemon); past it, the next run to end collects once.
+MAX_PAUSE_S = 5.0
+
+_pause_lock = threading.Lock()
+_pauses = 0  # runs in progress, across threads
+_resume = False  # whether the last run out re-enables the collector
+_paused_at = 0.0  # when the collector last ran (or the pause began)
+
+
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector for a run.
+
+    A run allocates hundreds of thousands of bindings and tree nodes,
+    most of which survive it as output. Each allocation burst triggers
+    generation scans that walk the surviving heap and free nothing: a
+    run creates no reference cycles (``tests/yatl/test_gc_hygiene.py``),
+    so reference counting alone frees its garbage. The pause is
+    reference-counted across threads — the collector comes back when
+    the last concurrent run ends — and it never re-enables a collector
+    that was already disabled when the first run started.
+
+    A large run leaves its survivors in the young generation. On resume
+    one generation-1 collection promotes them, in the run's own time;
+    otherwise the next generation-1 scan, in whatever code allocates
+    next, would walk them all. Runs that keep overlapping for longer
+    than :data:`MAX_PAUSE_S` get one full collection, so other threads'
+    cycles cannot pile up unseen.
+    """
+    global _pauses, _resume, _paused_at
+    with _pause_lock:
+        if _pauses == 0:
+            _resume = gc.isenabled()
+            _paused_at = time.monotonic()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        collect = None
+        with _pause_lock:
+            _pauses -= 1
+            if _pauses == 0:
+                if _resume:
+                    # More young objects than a generation-1 cycle
+                    # normally sees: promote them now. Counted before
+                    # enabling, as any allocation after it collects.
+                    threshold0, threshold1, _ = gc.get_threshold()
+                    if threshold0 and gc.get_count()[0] > threshold0 * threshold1:
+                        collect = 1
+                    gc.enable()
+            elif _resume and time.monotonic() - _paused_at > MAX_PAUSE_S:
+                _paused_at = time.monotonic()
+                collect = 2
+        if collect is not None:
+            gc.collect(collect)
 
 
 # ---------------------------------------------------------------------------

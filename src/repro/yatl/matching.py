@@ -14,30 +14,46 @@ rule machinery works on. The semantics follow Figure 3:
 * several body patterns join through shared variables (Rule 3), and a
   body pattern whose name is bound by a ``&``-leaf of another pattern
   matches the *referenced* tree (rule Web6).
+
+A pattern is matched through its *match program*: one closure per
+pattern node, compiled by :func:`compile_match` with the dispatch on
+pattern kind (variable leaf, name leaf, reference leaf, constant or
+variable label, edge kinds) resolved at compile time. A rule compiles
+its body once, on first application, and caches the program in its
+plan (:meth:`Rule.plan`). A closure captures only the programs of its
+children, never itself, so programs are acyclic and reference counting
+frees them with their rule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.instantiation import InstantiationContext, is_instance
 from ..core.patterns import (
-    GROUP,
     INDEX,
     ONE,
-    ORDER,
-    STAR,
     NameTerm,
     PChild,
+    PEdge,
     PNameLeaf,
+    PNode,
     PRefLeaf,
     PVarLeaf,
 )
 from ..core.trees import DataStore, Ref, Tree
-from ..core.variables import Var
+from ..core.variables import AnyDomain, PatternVar, Var
 from ..errors import EvaluationError
-from .ast import BodyPattern, Rule
+from .ast import Rule
 from .bindings import Binding, dedup_bindings
+
+Child = Union[Tree, Ref]
+#: A compiled pattern node: all extensions of a binding under which a
+#: data node matches the node, without duplicates.
+Matcher = Callable[[Child, Binding, "MatchContext"], List[Binding]]
+#: A compiled edge list: all alignments of the edges with the children
+#: of a data node, before deduplication.
+EdgeProgram = Callable[[Sequence[Child], Binding, "MatchContext"], List[Binding]]
 
 
 class MatchContext:
@@ -49,10 +65,12 @@ class MatchContext:
         self.store = store
         self.model = model
         self._icontext: Optional[InstantiationContext] = None
-        # Memoized structural coverage: (pattern id, data node) -> bool.
-        # Used when a collection child conflicts with bound join
-        # variables and only shape matters (see match_edges).
-        self._coverage: Dict[Tuple[int, Union[Tree, Ref]], bool] = {}
+        # Memoized structural coverage: (target program, data node) ->
+        # bool. Used when a collection child conflicts with bound join
+        # variables and only shape matters (see _covers). Keyed by the
+        # program object itself, which the key keeps alive: an id()
+        # could be reused by a later program within this context.
+        self._coverage: Dict[Tuple[Matcher, Child], bool] = {}
         # Memo-effectiveness accounting. A plain int: the probe runs
         # per (pattern, subject) pair, so the interpreter flushes it
         # into the run's MetricsRegistry once, at the end.
@@ -88,242 +106,446 @@ class MatchContext:
 
 
 # ---------------------------------------------------------------------------
-# Tree-level matching
+# Match programs: pattern nodes
 # ---------------------------------------------------------------------------
 
 
-def match_child(
-    pattern: PChild,
-    node: Union[Tree, Ref],
-    binding: Binding,
-    ctx: MatchContext,
-) -> List[Binding]:
-    """All extensions of *binding* under which *node* matches *pattern*."""
-
-    # Pattern variable leaf: bind the whole subtree.
+def compile_match(pattern: PChild) -> Matcher:
+    """The match program of one pattern tree."""
     if isinstance(pattern, PVarLeaf):
-        domain = pattern.var.domain_pattern
+        return _var_leaf(pattern.var)
+    if isinstance(pattern, PNameLeaf):
+        return _name_leaf(pattern.term)
+    if isinstance(pattern, PRefLeaf):
+        return _ref_leaf(pattern.target)
+    return _node(pattern)
+
+
+def _var_leaf(var: PatternVar) -> Matcher:
+    """A pattern variable leaf binds the whole subtree, possibly after
+    checking it against the variable's domain pattern."""
+    name, domain = var.name, var.domain_pattern
+
+    def match(node: Child, binding: Binding, ctx: MatchContext) -> List[Binding]:
         if domain is not None and not ctx.instance_check(node, domain):
             return []
-        extended = binding.bind(pattern.var, node)
+        extended = binding.bind_name(name, node)
         return [extended] if extended is not None else []
 
-    # Pattern-name leaf (dereferencing): a structural type check.
-    if isinstance(pattern, PNameLeaf):
-        if pattern.term.args:
-            raise EvaluationError(
-                f"Skolem term {pattern.term} cannot be matched in a body"
-            )
-        if ctx.instance_check(node, pattern.term.functor):
-            return [binding]
-        return []
+    return match
 
-    # Reference leaf: the data must be a reference.
-    if isinstance(pattern, PRefLeaf):
-        if not isinstance(node, Ref):
+
+def _name_leaf(term: NameTerm) -> Matcher:
+    """A pattern-name leaf (dereferencing) is a structural type check."""
+    if term.args:
+        return _raising(f"Skolem term {term} cannot be matched in a body")
+    functor = term.functor
+
+    def match(node: Child, binding: Binding, ctx: MatchContext) -> List[Binding]:
+        return [binding] if ctx.instance_check(node, functor) else []
+
+    return match
+
+
+def _raising(message: str, refs_only: bool = False) -> Matcher:
+    """A leaf no body can match: raises when matching reaches it (and,
+    with *refs_only*, only when the data there is a reference)."""
+
+    def match(node: Child, binding: Binding, ctx: MatchContext) -> List[Binding]:
+        if refs_only and not isinstance(node, Ref):
             return []
-        target = pattern.target
-        if isinstance(target, NameTerm):
-            if target.args:
-                raise EvaluationError(
-                    f"Skolem reference &{target} cannot be matched in a body"
-                )
+        raise EvaluationError(message)
+
+    return match
+
+
+def _ref_leaf(target: Union[NameTerm, PatternVar]) -> Matcher:
+    """A reference leaf only matches a reference. ``&Pname`` checks the
+    referenced tree against the named pattern (a dangling reference
+    cannot be checked and passes); a pattern-variable target ``&P``
+    binds the *referenced* tree."""
+    if isinstance(target, NameTerm):
+        if target.args:
+            return _raising(
+                f"Skolem reference &{target} cannot be matched in a body",
+                refs_only=True,
+            )
+        functor = target.functor
+
+        def match_named(
+            node: Child, binding: Binding, ctx: MatchContext
+        ) -> List[Binding]:
+            if not isinstance(node, Ref):
+                return []
             referenced = ctx.resolve(node)
-            if referenced is None:
-                return [binding]  # cannot check a dangling reference
-            if ctx.instance_check(referenced, target.functor):
+            if referenced is None or ctx.instance_check(referenced, functor):
                 return [binding]
             return []
-        # pattern-variable target: bind the *referenced* tree
+
+        return match_named
+    name, domain = target.name, target.domain_pattern
+
+    def match_bound(node: Child, binding: Binding, ctx: MatchContext) -> List[Binding]:
+        if not isinstance(node, Ref):
+            return []
         referenced = ctx.resolve(node)
         if referenced is None:
             return []
-        if target.domain_pattern is not None and not ctx.instance_check(
-            referenced, target.domain_pattern
-        ):
+        if domain is not None and not ctx.instance_check(referenced, domain):
             return []
-        extended = binding.bind(target, referenced)
+        extended = binding.bind_name(name, referenced)
         return [extended] if extended is not None else []
 
-    # Ordinary node.
-    if isinstance(node, Ref):
-        return []
+    return match_bound
+
+
+def _node(pattern: PNode) -> Matcher:
+    """An ordinary node: a constant label must equal the data label; a
+    variable label binds it (within the variable's domain). A pattern
+    leaf only matches a data leaf; otherwise the edges are aligned with
+    the children and the alignments deduplicated — except behind a
+    single plain edge, whose target's alignments come deduplicated."""
     label = pattern.label
-    if isinstance(label, Var):
-        if not label.domain.contains(node.label):
+    edges = _compile_edges(pattern.edges) if pattern.edges else None
+    dedup = not (len(pattern.edges) == 1 and pattern.edges[0].kind == ONE)
+    if not isinstance(label, Var):
+
+        def match_constant(
+            node: Child, binding: Binding, ctx: MatchContext
+        ) -> List[Binding]:
+            if isinstance(node, Ref) or label != node.label:
+                return []
+            if edges is None:
+                return [] if node.children else [binding]
+            results = edges(node.children, binding, ctx)
+            return dedup_bindings(results) if dedup and len(results) > 1 else results
+
+        return match_constant
+    name = label.name
+    # Every tree label is a symbol or an atom, so the unrestricted
+    # domain needs no check.
+    domain = None if isinstance(label.domain, AnyDomain) else label.domain
+
+    def match_variable(
+        node: Child, binding: Binding, ctx: MatchContext
+    ) -> List[Binding]:
+        if isinstance(node, Ref):
             return []
-        extended = binding.bind(label, node.label)
+        value = node.label
+        if domain is not None and not domain.contains(value):
+            return []
+        extended = binding.bind_name(name, value)
         if extended is None:
             return []
-        binding = extended
-    elif label != node.label:
-        return []
-    if not pattern.edges:
-        # a pattern leaf only matches a data leaf
-        return [] if node.children else [binding]
-    return match_edges(pattern.edges, node.children, binding, ctx)
+        if edges is None:
+            return [] if node.children else [extended]
+        results = edges(node.children, extended, ctx)
+        return dedup_bindings(results) if dedup and len(results) > 1 else results
+
+    return match_variable
 
 
-def _covers(target, child, ctx: MatchContext) -> bool:
+# ---------------------------------------------------------------------------
+# Match programs: edge alignment
+# ---------------------------------------------------------------------------
+#
+# Every child must be consumed by some edge (full structural coverage,
+# as in the instantiation semantics of Section 2). A plain edge consumes
+# one child. A star-like edge (STAR, INDEX, and GROUP/ORDER appearing in
+# a body behave as "zero or more") consumes a run of children; each
+# child contributes its own bindings ("one binding per supplier"), and a
+# child that matches the target's *shape* but conflicts with already
+# bound join variables (Rule 3's shared ``SN``) is covered without
+# contributing. A structural mismatch ends the run: longer runs fail too.
+#
+# The alignments are enumerated depth first, in the order of the
+# original backtracking search. Three shapes are compiled:
+#
+# * only plain edges: the children pair up with the edges one to one;
+# * a star-like edge followed by plain edges only: the run length is
+#   fixed (the children the plain edges leave over), so only the full
+#   run is aligned;
+# * a star-like edge followed by another one: every run length is
+#   tried, as a chain of steps, each calling the next.
+
+
+def _compile_edges(edges: Sequence[PEdge]) -> EdgeProgram:
+    targets = [compile_match(edge.target) for edge in edges]
+    if all(edge.kind == ONE for edge in edges):
+        return _plain_edges(tuple(targets))
+    step = _end
+    for position in range(len(edges) - 1, -1, -1):
+        edge, target = edges[position], targets[position]
+        rest = edges[position + 1:]
+        if edge.kind == ONE:
+            step = _plain_step(target, step)
+        elif all(later.kind == ONE for later in rest):
+            step = _fixed_run_step(target, _index_name(edge), len(rest), step)
+        else:
+            remaining_one = sum(1 for later in rest if later.kind == ONE)
+            step = _run_step(target, _index_name(edge), remaining_one, step)
+    first = step
+
+    def align(children, binding: Binding, ctx: MatchContext) -> List[Binding]:
+        results: List[Binding] = []
+        first(children, 0, binding, ctx, results)
+        return results
+
+    return align
+
+
+def _index_name(edge: PEdge) -> Optional[str]:
+    return edge.index_var.name if edge.kind == INDEX else None
+
+
+def _plain_edges(targets: Tuple[Matcher, ...]) -> EdgeProgram:
+    count = len(targets)
+    if count == 1:
+        (target,) = targets
+
+        def align_one(children, binding: Binding, ctx: MatchContext) -> List[Binding]:
+            if len(children) != 1:
+                return []
+            return target(children[0], binding, ctx)
+
+        return align_one
+
+    def align_plain(children, binding: Binding, ctx: MatchContext) -> List[Binding]:
+        if len(children) != count:
+            return []
+        envs = [binding]
+        for target, child in zip(targets, children):
+            if len(envs) == 1:
+                envs = target(child, envs[0], ctx)
+            else:
+                extended: List[Binding] = []
+                for env in envs:
+                    extended.extend(target(child, env, ctx))
+                envs = extended
+            if not envs:
+                break
+        return envs
+
+    return align_plain
+
+
+def _collect_run(
+    target: Matcher,
+    index: Optional[str],
+    children: Sequence[Child],
+    start: int,
+    stop: int,
+    env: Binding,
+    ctx: MatchContext,
+) -> Optional[List[Binding]]:
+    """The bindings ``children[start:stop]`` contribute as one run of a
+    star-like edge, or None if the run fails to cover a child."""
+    collected: List[Binding] = []
+    for position in range(start, stop):
+        child = children[position]
+        if index is not None:
+            bound = env.bind_name(index, position + 1)
+            if bound is None:
+                # an index conflict skips the child (diagonal
+                # selection); coverage still requires its shape
+                if not _covers(target, child, ctx):
+                    return None
+                matches: List[Binding] = []
+            else:
+                matches = target(child, bound, ctx)
+        else:
+            matches = target(child, env, ctx)
+        if matches:
+            collected.extend(matches)
+        elif not _covers(target, child, ctx):
+            return None
+    return collected
+
+
+def _end(children, ci: int, env: Binding, ctx: MatchContext, results: List[Binding]) -> None:
+    if ci == len(children):
+        results.append(env)
+
+
+def _plain_step(target: Matcher, rest):
+    def step(children, ci, env, ctx, results) -> None:
+        if ci < len(children):
+            for extended in target(children[ci], env, ctx):
+                rest(children, ci + 1, extended, ctx, results)
+
+    return step
+
+
+def _fixed_run_step(target: Matcher, index: Optional[str], remaining_one: int, rest):
+    def step(children, ci, env, ctx, results) -> None:
+        stop = len(children) - remaining_one
+        if stop == ci:
+            rest(children, ci, env, ctx, results)
+        elif stop > ci:
+            collected = _collect_run(target, index, children, ci, stop, env, ctx)
+            for extended in collected or ():
+                rest(children, stop, extended, ctx, results)
+
+    return step
+
+
+def _run_step(target: Matcher, index: Optional[str], remaining_one: int, rest):
+    def step(children, ci, env, ctx, results) -> None:
+        rest(children, ci, env, ctx, results)  # run of length 0
+        collected: List[Binding] = []
+        for position in range(ci, len(children) - remaining_one):
+            child = children[position]
+            if index is not None:
+                bound = env.bind_name(index, position + 1)
+                if bound is None:
+                    if not _covers(target, child, ctx):
+                        break
+                    matches: List[Binding] = []
+                else:
+                    matches = target(child, bound, ctx)
+            else:
+                matches = target(child, env, ctx)
+            if not matches and not _covers(target, child, ctx):
+                break
+            collected.extend(matches)
+            # a run whose children all conflicted with the join is
+            # covered but contributes no bindings (collected empty)
+            for extended in collected:
+                rest(children, position + 1, extended, ctx, results)
+
+    return step
+
+
+def _covers(target: Matcher, child: Child, ctx: MatchContext) -> bool:
     """Memoized structural coverage: does *child* match the shape of
     *target* under a fresh binding?"""
-    key = (id(target), child)
+    key = (target, child)
     cached = ctx._coverage.get(key)
     if cached is None:
-        cached = bool(match_child(target, child, Binding.EMPTY, ctx))
+        cached = bool(target(child, Binding.EMPTY, ctx))
         ctx._coverage[key] = cached
     else:
         ctx.coverage_memo_hits += 1
     return cached
 
 
-def match_edges(
-    edges: Sequence,
-    children: Sequence[Union[Tree, Ref]],
-    binding: Binding,
-    ctx: MatchContext,
-) -> List[Binding]:
-    """Align pattern edges with the ordered children of a data node.
-
-    Every child must be consumed by some edge (full structural
-    coverage, as in the instantiation semantics of Section 2). A
-    star-like edge consumes a run of children; each child contributes
-    its own bindings ("one binding per supplier"), and a child that
-    matches the target's *shape* but conflicts with already-bound join
-    variables (Rule 3's shared ``SN``) is covered without contributing.
-    """
-    results: List[Binding] = []
-    _align(edges, children, 0, 0, binding, ctx, results)
-    return dedup_bindings(results) if len(results) > 1 else results
-
-
-def _align(
-    edges: Sequence,
-    children: Sequence[Union[Tree, Ref]],
-    ei: int,
-    ci: int,
-    env: Binding,
-    ctx: MatchContext,
-    results: List[Binding],
-) -> None:
-    """Append to *results* every alignment of ``edges[ei:]`` with
-    ``children[ci:]`` extending *env*, depth first. A module-level
-    function rather than a closure in :func:`match_edges`: a
-    self-referencing closure is a reference cycle, which would leave
-    every binding it touched to the cyclic garbage collector."""
-    n_edges, n_children = len(edges), len(children)
-    if ei == n_edges:
-        if ci == n_children:
-            results.append(env)
-        return
-    edge = edges[ei]
-    if edge.kind == ONE:
-        if ci < n_children:
-            for extended in match_child(edge.target, children[ci], env, ctx):
-                _align(edges, children, ei + 1, ci + 1, extended, ctx, results)
-        return
-    # Star-like edges (STAR, INDEX, and GROUP/ORDER appearing in a
-    # body behave as "zero or more"): try every run length, matching
-    # each consumed child exactly once.
-    remaining_one = sum(1 for e in edges[ei + 1 :] if e.kind == ONE)
-    max_run = n_children - ci - remaining_one
-    collected: List[Binding] = []
-    _align(edges, children, ei + 1, ci, env, ctx, results)  # run of length 0
-    for offset in range(max_run):
-        child = children[ci + offset]
-        if edge.kind == INDEX:
-            bound = env.bind(edge.index_var, ci + offset + 1)
-            if bound is None:
-                # an index conflict skips the child (diagonal
-                # selection); coverage still requires its shape
-                if not _covers(edge.target, child, ctx):
-                    break
-                matches: List[Binding] = []
-            else:
-                matches = match_child(edge.target, child, bound, ctx)
-        else:
-            matches = match_child(edge.target, child, env, ctx)
-        if not matches:
-            if not _covers(edge.target, child, ctx):
-                break  # structural mismatch: longer runs fail too
-        collected.extend(matches)
-        # a run whose children all conflicted with the join is covered
-        # but contributes no bindings (collected empty)
-        for extended in collected:
-            _align(edges, children, ei + 1, ci + offset + 1, extended, ctx, results)
-
-
 # ---------------------------------------------------------------------------
-# Rule-level matching
+# Match programs: rule bodies
 # ---------------------------------------------------------------------------
 
 
-def match_body(
-    rule: Rule,
-    input_trees: Sequence[Union[Tree, Ref]],
-    ctx: MatchContext,
-) -> List[Binding]:
-    """Phase 1: match every body pattern, joining on shared variables.
+class BodyProgram:
+    """Phase 1 of a rule: its body patterns' match programs, joined on
+    shared variables.
 
     *Root* body patterns (those whose name is not bound by a leaf of
     another pattern) range over the input trees; dependent patterns
     match the tree their name variable is already bound to."""
-    root_names = {bp.name.name for bp in rule.root_body_patterns()}
-    envs: List[Binding] = [Binding.EMPTY]
-    pending: List[BodyPattern] = list(rule.body)
-    progress = True
-    while pending and progress:
-        progress = False
-        still_pending: List[BodyPattern] = []
-        for bp in pending:
-            is_root = bp.name.name in root_names
-            if not is_root and not any(bp.name in env for env in envs):
-                still_pending.append(bp)
-                continue
-            envs = _apply_body_pattern(bp, is_root, envs, input_trees, ctx)
-            progress = True
-        pending = still_pending
-        if not envs:
-            return []
-    if pending:
-        names = ", ".join(bp.name.name for bp in pending)
-        raise EvaluationError(
-            f"rule {rule.name!r}: body pattern(s) {names} depend on names "
-            f"never bound by any other pattern"
+
+    __slots__ = ("rule_name", "patterns")
+
+    def __init__(self, rule: Rule) -> None:
+        roots = {bp.name.name for bp in rule.root_body_patterns()}
+        self.rule_name = rule.name
+        #: (name, is_root, match program) per body pattern, in order
+        self.patterns: Tuple[Tuple[str, bool, Matcher], ...] = tuple(
+            (bp.name.name, bp.name.name in roots, compile_match(bp.tree))
+            for bp in rule.body
         )
-    return dedup_bindings(envs)
+
+    def match(self, input_trees: Sequence[Child], ctx: MatchContext) -> List[Binding]:
+        envs: List[Binding] = [Binding.EMPTY]
+        pending = list(self.patterns)
+        progress = True
+        while pending and progress:
+            progress = False
+            still_pending = []
+            for pattern in pending:
+                name, is_root = pattern[0], pattern[1]
+                if not is_root and not any(name in env for env in envs):
+                    still_pending.append(pattern)
+                    continue
+                envs = _apply_body_pattern(pattern, envs, input_trees, ctx)
+                progress = True
+            pending = still_pending
+            if not envs:
+                return []
+        if pending:
+            names = ", ".join(pattern[0] for pattern in pending)
+            raise EvaluationError(
+                f"rule {self.rule_name!r}: body pattern(s) {names} depend on "
+                f"names never bound by any other pattern"
+            )
+        return dedup_bindings(envs) if len(envs) > 1 else envs
 
 
 def _apply_body_pattern(
-    bp: BodyPattern,
-    is_root: bool,
+    pattern: Tuple[str, bool, Matcher],
     envs: List[Binding],
-    input_trees: Sequence[Union[Tree, Ref]],
+    input_trees: Sequence[Child],
     ctx: MatchContext,
 ) -> List[Binding]:
+    name, is_root, match = pattern
     extended: List[Binding] = []
     for env in envs:
-        bound = env.get(bp.name)
+        bound = env.get(name)
         if bound is not None:
-            candidates = [bound]
+            candidates: Sequence = (bound,)
         elif is_root:
-            candidates = list(input_trees)
+            candidates = input_trees
         else:
             continue  # dependent pattern with an unbound name: no match
         for candidate in candidates:
             if not isinstance(candidate, (Tree, Ref)):
                 continue
-            named = env.bind(bp.name, candidate)
+            named = env.bind_name(name, candidate)
             if named is None:
                 continue
-            matches = match_child(bp.tree, candidate, named, ctx)
+            matches = match(candidate, named, ctx)
             if not matches and isinstance(candidate, Ref):
                 # A pattern over the *referenced* tree: follow the
                 # reference when the direct (reference-leaf) match fails.
                 resolved = ctx.resolve(candidate)
                 if resolved is not None:
-                    renamed = env.bind(bp.name, resolved)
+                    renamed = env.bind_name(name, resolved)
                     if renamed is not None:
-                        matches = match_child(bp.tree, resolved, renamed, ctx)
+                        matches = match(resolved, renamed, ctx)
             extended.extend(matches)
     return extended
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+
+def match_child(
+    pattern: PChild,
+    node: Child,
+    binding: Binding,
+    ctx: MatchContext,
+) -> List[Binding]:
+    """All extensions of *binding* under which *node* matches *pattern*."""
+    return compile_match(pattern)(node, binding, ctx)
+
+
+def match_edges(
+    edges: Sequence[PEdge],
+    children: Sequence[Child],
+    binding: Binding,
+    ctx: MatchContext,
+) -> List[Binding]:
+    """Align pattern edges with the ordered children of a data node
+    (see the alignment rules above), deduplicated."""
+    results = _compile_edges(edges)(children, binding, ctx)
+    return dedup_bindings(results) if len(results) > 1 else results
+
+
+def match_body(
+    rule: Rule,
+    input_trees: Sequence[Child],
+    ctx: MatchContext,
+) -> List[Binding]:
+    """Phase 1: match every body pattern of *rule*, joining on shared
+    variables, through the rule's cached plan."""
+    return rule.plan().body.match(input_trees, ctx)

@@ -1,11 +1,13 @@
-"""Equivalence goldens for the cold-request path: parse, import, match.
+"""Equivalence goldens for the conversion path: parse, import, match, build.
 
-The SGML parser, the SGML import wrapper, the drift fingerprint and the
-body matcher sit on every cold ``repro serve`` request and every Fig. 1
-conversion. Their outputs were recorded once into
-``tests/goldens/conversion_goldens.json``; any rewrite of those layers
-must reproduce them exactly — element trees, error messages down to
-the reported line number, fingerprint JSON, and matcher bindings.
+The SGML parser, the SGML import wrapper, the drift fingerprint, the
+body matcher and the head builder sit on every cold ``repro serve``
+request and every Fig. 1 conversion. Their outputs were recorded once
+into ``tests/goldens/conversion_goldens.json``; any rewrite of those
+layers must reproduce them exactly — element trees, error messages down
+to the reported line number, fingerprint JSON, matcher bindings (in
+order), constructed heads with their Skolem allocation logs, and the
+O2Web pages of whole Fig. 1 conversions.
 
 Regenerate (only when a change of behaviour is intended) with::
 
@@ -20,12 +22,16 @@ import sys
 import pytest
 
 from repro.core import parse_pattern_tree
-from repro.core.trees import Ref, atom, tree
-from repro.errors import WrapperError
+from repro.core.labels import Symbol
+from repro.core.trees import DataStore, Ref, Tree, atom, tree
+from repro.errors import WrapperError, YatError
 from repro.obs import fingerprint_store
 from repro.sgml.parser import parse_sgml, parse_sgml_many
 from repro.yatl.bindings import Binding
-from repro.yatl.matching import MatchContext, match_child
+from repro.yatl.construction import Constructor, Unbound
+from repro.yatl.matching import MatchContext, match_body, match_child
+from repro.yatl.parser import parse_rule
+from repro.yatl.skolem import SkolemTable
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "goldens",
@@ -101,7 +107,204 @@ MATCH_CASES = {
         lambda: tree("pair", tree("a", atom(1), atom(2), atom(1)),
                      tree("b", atom(1))),
     ),
+    # A star edge followed by plain edges: the run length is fixed.
+    "star_then_plain": (
+        "r < *-> a -> X, -> b -> Y, -> c -> Z >",
+        lambda: tree("r", tree("a", atom(1)), tree("a", atom(2)),
+                     tree("b", atom(3)), tree("c", atom(4))),
+    ),
+    "star_then_plain_vars": (
+        "r < *-> X, -> Y >", lambda: tree("r", atom(1), atom(2), atom(3)),
+    ),
+    "star_then_plain_empty_run": (
+        "r < *-> a -> X, -> b -> Y >", lambda: tree("r", tree("b", atom(3))),
+    ),
+    "star_then_plain_too_short": (
+        "r < *-> X, -> Y, -> Z >", lambda: tree("r", atom(1)),
+    ),
+    "star_then_plain_mismatch": (
+        "r < *-> a -> X, -> b -> Y >",
+        lambda: tree("r", tree("a", atom(1)), tree("c", atom(2)),
+                     tree("b", atom(3))),
+    ),
+    "star_then_plain_join": (
+        "pair < *-> a -> X, -> b -> X >",
+        lambda: tree("pair", tree("a", atom(1)), tree("a", atom(2)),
+                     tree("a", atom(2)), tree("b", atom(2))),
+    ),
+    "plain_star_plain": (
+        "r < -> h -> H, *-> a -> X, -> t -> T >",
+        lambda: tree("r", tree("h", atom(0)), tree("a", atom(1)),
+                     tree("a", atom(2)), tree("t", atom(9))),
+    ),
+    "star_then_star": (
+        "r < *-> a -> X, *-> Y >",
+        lambda: tree("r", tree("a", atom(1)), tree("a", atom(2)), atom(3)),
+    ),
+    "star_of_vars_then_star": (
+        "r < *-> X, *-> Y >", lambda: tree("r", atom(1), atom(2)),
+    ),
+    # Index edges; a shared index variable selects the diagonal, and an
+    # off-diagonal child is covered by shape without contributing.
+    "index_positions": (
+        "m (I)-> X", lambda: tree("m", tree("a"), tree("b"), tree("c")),
+    ),
+    "index_diagonal_conflict": (
+        "m (I)-> X (I)-> Y -> V",
+        lambda: tree("m", *[
+            tree(f"c{c}", *[tree(f"r{r}", atom(10 * r + c))
+                            for r in range(1, 4)])
+            for c in range(1, 4)
+        ]),
+    ),
+    "index_diagonal_shape_mismatch": (
+        "m (I)-> c (I)-> r -> V",
+        lambda: tree("m", tree("c", tree("r", atom(11)), tree("r", atom(21))),
+                     tree("c", tree("r", atom(12)), tree("x", atom(22)))),
+    ),
+    "index_then_plain": (
+        "m < (I)-> x -> V, -> end >",
+        lambda: tree("m", tree("x", atom("a")), tree("x", atom("b")),
+                     tree("end")),
+    ),
+    # Domain-restricted variable labels.
+    "domain_var_label": (
+        "X:(bag|set) *-> Y", lambda: tree("bag", atom(1), atom(2)),
+    ),
+    "domain_var_label_rejects": (
+        "X:(bag|set) *-> Y", lambda: tree("list", atom(1)),
+    ),
+    "symbol_var_labels": (
+        "class -> C:symbol *-> A:symbol -> V",
+        lambda: tree("class", tree("car", tree("name", atom("golf")),
+                                   tree("year", atom(1995)))),
+    ),
+    "symbol_var_label_rejects_atom": (
+        "class -> C:symbol *-> A:symbol -> V",
+        lambda: tree("class", tree("car", tree("name", atom("golf")),
+                                   Tree("year", (atom(1995),)))),
+    ),
 }
+
+
+def _objects_store():
+    return DataStore({
+        "o1": tree("class", tree("car", tree("name", atom("golf")),
+                                 tree("maker", Ref("o2")))),
+        "o2": tree("class", tree("supplier", tree("name", atom("VW")))),
+        "o3": tree("class", Tree("odd", (tree("name", atom("x")),))),
+    })
+
+
+#: name -> (rule text, input builder); matched by ``match_body`` over
+#: the inputs with ``_objects_store()`` resolving references.
+RULE_CASES = {
+    # A `&Pobj` binding reference: Pobj matches the referenced tree.
+    "binding_reference": (
+        "rule R: H(Pref) : a -> C <= Pref : &Pobj, "
+        "Pobj : class -> C:symbol *-> A:symbol -> V",
+        lambda: [Ref("o1"), Ref("o2"), Ref("o3"), Ref("gone"),
+                 tree("class", tree("car"))],
+    ),
+    "reference_input_followed": (
+        "rule R: H(P) : a -> C <= P : class -> C:symbol *-> A -> V",
+        lambda: [Ref("o2"), Ref("o1"), tree("class", tree("bus",
+                 tree("seats", atom(40))))],
+    ),
+    "join_two_roots": (
+        "rule R: H(K) : a -> K <= A : a -> k -> K, B : b *-> k -> K",
+        lambda: [tree("a", tree("k", atom(1))), tree("a", tree("k", atom(2))),
+                 tree("b", tree("k", atom(2)), tree("k", atom(3))),
+                 tree("b", tree("k", atom(1)))],
+    ),
+}
+
+
+def _group(*items):
+    group = []
+    for item in items:
+        binding = Binding.EMPTY
+        for name, value in item.items():
+            binding = binding.bind(name, value)
+        group.append(binding)
+    return group
+
+
+#: name -> (head pattern text, Skolem group builder).
+CONSTRUCT_CASES = {
+    "group_edge": (
+        "s {}-> pair < -> a -> A, -> b -> B >",
+        lambda: _group({"A": 1, "B": 2}, {"A": 3, "B": 4}, {"A": 1, "B": 2},
+                       {"A": 5}),
+    ),
+    "group_edge_refs": (
+        "set {}-> &P(N)",
+        lambda: _group({"N": "b"}, {"N": "a"}, {"N": "b"}),
+    ),
+    "order_edge": (
+        "l [K]-> v -> K",
+        lambda: _group({"K": 3}, {"K": 1}, {"K": 3}, {"K": 2}, {"J": 0}),
+    ),
+    "order_edge_two_criteria": (
+        "l [K, J]-> v < -> k -> K, -> j -> J, *-> x -> X >",
+        lambda: _group({"K": 2, "J": 1, "X": 1}, {"K": 1, "J": 2, "X": 2},
+                       {"K": 2, "J": 1, "X": 3}, {"K": 1, "J": 1}),
+    ),
+    "order_edge_refs": (
+        "list [N]-> &P(N)",
+        lambda: _group({"N": "b"}, {"N": "a"}, {"N": "c"}),
+    ),
+    "index_edge": (
+        "ol (I)-> li -> X",
+        lambda: _group({"I": 2, "X": "b"}, {"I": 1, "X": "a"},
+                       {"I": 2, "X": "b"}, {"X": "z"}),
+    ),
+    "star_edge_projection": (
+        "s < -> n -> N, *-> x -> X >",
+        lambda: _group({"N": 1, "X": 1, "J": 1}, {"N": 1, "X": 1, "J": 2},
+                       {"N": 1, "X": 2}, {"N": 1}),
+    ),
+    "star_edge_deref": (
+        "ul *-> li < -> L, -> E(P) >",
+        lambda: _group({"L": "a", "P": tree("p", atom(1))},
+                       {"L": "b", "P": tree("p", atom(2))},
+                       {"L": "a", "P": tree("p", atom(1))}),
+    ),
+    "ref_and_deref": (
+        "p < -> a -> Q(X), -> b -> &R(X, 7) >",
+        lambda: _group({"X": 1}, {"X": 1, "Y": 2}),
+    ),
+    "var_label": (
+        "L < -> x -> X, -> W >",
+        lambda: _group({"L": Symbol("row"), "X": 1, "W": "w"}),
+    ),
+    "var_label_tree_leaf": (
+        "L < -> x -> X, -> W >",
+        lambda: _group({"L": Symbol("row"), "X": 1, "W": tree("w", atom(2))}),
+    ),
+    "pattern_var_leaves": (
+        "p < -> ^T, *-> q -> ^T >",
+        lambda: _group({"T": tree("t", atom(1))}, {"T": tree("t", atom(1))}),
+    ),
+    "var_label_tree_rejected": (
+        "L -> x", lambda: _group({"L": tree("w")}),
+    ),
+    "plain_disagreement": (
+        "p -> x -> X", lambda: _group({"X": 1}, {"X": 2}),
+    ),
+    "skolem_disagreement": (
+        "p -> &Q(X)", lambda: _group({"X": 1}, {"X": 2}),
+    ),
+    "plain_unbound": (
+        "p -> x -> X", lambda: _group({"Y": 1}),
+    ),
+    "root_reference": (
+        "&Q(X)", lambda: _group({"X": 1}, {"X": 1}),
+    ),
+}
+
+#: Seeds of the whole-conversion O2Web page digests.
+O2WEB_SEEDS = (2, 5, 17)
 
 
 def canon(element):
@@ -165,6 +368,42 @@ def match_case(pattern_text, build):
     return [repr(b) for b in bindings]
 
 
+def rule_case(rule_text, build):
+    rule = parse_rule(rule_text)
+    ctx = MatchContext(store=_objects_store())
+    return [repr(b) for b in match_body(rule, build(), ctx)]
+
+
+def construct_case(head_text, build):
+    skolems = SkolemTable()
+    try:
+        built = repr(Constructor(skolems).construct(
+            parse_pattern_tree(head_text), build()))
+    except Unbound as unbound:
+        built = f"Unbound: {unbound.name}"
+    except YatError as exc:
+        built = f"{type(exc).__name__}: {exc}"
+    log = [[i, f, repr(a)] for i, f, a in skolems.allocation_log()]
+    return {"built": built, "skolems": log}
+
+
+def o2web_digest(seed):
+    """Digests of one whole Fig. 1 conversion (brochures -> objects ->
+    pages): each store's bytes and Skolem allocation log."""
+    from repro.library import o2web_program, sgml_brochures_to_odmg
+    from repro.workloads import brochure_trees
+
+    objects = sgml_brochures_to_odmg().run(
+        brochure_trees(40, distinct_suppliers=8, seed=seed))
+    pages = o2web_program().run(objects.store)
+    out = {}
+    for name, result in (("objects", objects), ("pages", pages)):
+        out[name] = digest([f"{i}\t{node!r}" for i, node in result.store])
+        out[name + "_skolems"] = digest(
+            [[i, f, repr(a)] for i, f, a in result.skolems.allocation_log()])
+    return out
+
+
 def record():
     return {
         "handwritten": canon_many(HANDWRITTEN),
@@ -179,6 +418,11 @@ def record():
         "fingerprints": fig1_fingerprints(),
         "matches": {name: match_case(*case)
                     for name, case in MATCH_CASES.items()},
+        "rules": {name: rule_case(*case)
+                  for name, case in RULE_CASES.items()},
+        "constructs": {name: construct_case(*case)
+                       for name, case in CONSTRUCT_CASES.items()},
+        "o2web": {str(seed): o2web_digest(seed) for seed in O2WEB_SEEDS},
     }
 
 
@@ -219,6 +463,21 @@ def test_fig1_fingerprints(golden, fingerprints, source):
 @pytest.mark.parametrize("name", sorted(MATCH_CASES))
 def test_matcher_bindings(golden, name):
     assert match_case(*MATCH_CASES[name]) == golden["matches"][name]
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_rule_bindings(golden, name):
+    assert rule_case(*RULE_CASES[name]) == golden["rules"][name]
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_head_construction(golden, name):
+    assert construct_case(*CONSTRUCT_CASES[name]) == golden["constructs"][name]
+
+
+@pytest.mark.parametrize("seed", O2WEB_SEEDS)
+def test_o2web_pages(golden, seed):
+    assert o2web_digest(seed) == golden["o2web"][str(seed)]
 
 
 if __name__ == "__main__":
