@@ -809,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="admission control: shed conversions with 429 + "
                             "Retry-After once N are already executing or "
-                            "queued (default: unbounded)")
+                            "queued (default: unbounded); the listen "
+                            "backlog is at least N (and at least 128)")
     serve.add_argument("--history-interval", type=float, default=5.0,
                        metavar="S",
                        help="seconds between /stats/history snapshots "

@@ -19,7 +19,9 @@ cyclic schemas of Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from operator import eq
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import InstantiationError, ModelError
 from .labels import Label
@@ -182,11 +184,6 @@ def is_instance(
         # within the lifetime of a shared context.
         inst_key = instance.name if isinstance(instance, Pattern) else instance
         src_key = source.name if isinstance(source, Pattern) else source
-        # Settled pairs first: run-time typing re-checks the same
-        # (subtree, pattern) pairs many times over.
-        settled = ctx._settled.get((inst_key, src_key))
-        if settled is not None:
-            return settled
         inst_alts = (
             instance.alternatives if isinstance(instance, Pattern) else (instance,)
         )
@@ -539,6 +536,204 @@ def _patterns_of(model):
         raise ModelError(f"not a model: {model!r}")
     result = getter() if callable(getter) else getter
     return list(result)
+
+
+# ---------------------------------------------------------------------------
+# Compiled checks of ground data (run-time typing)
+# ---------------------------------------------------------------------------
+
+#: A compiled check: is a data node an instance of one pattern child?
+#: Called with the node and the checker it was compiled by, so that no
+#: compiled closure references its checker (no reference cycles).
+DataCheck = Callable[[Union[Tree, Ref], "DataChecker"], bool]
+
+
+class DataChecker:
+    """Run-time checks of ground data against the named patterns of one
+    model: :func:`is_instance` on data, compiled once per pattern.
+
+    Each pattern child compiles to a function with its kind dispatch
+    and its label test resolved at compile time. A pattern that reaches no pattern name (``Patomic``) is
+    checked without memoization: the answer depends on the node alone.
+    The others (``Ptype`` reaches ``&Pclass``) recurse through names and
+    references, and keep :class:`InstantiationContext`'s co-inductive
+    bookkeeping, keys included: on a reference cycle through an
+    ill-typed object, the answers depend on what was assumed and settled
+    first, and they must stay those of :func:`is_instance`.
+    """
+
+    def __init__(self, model, store: Optional[DataStore] = None) -> None:
+        self.model = model
+        self.store = store
+        self._context = InstantiationContext(source_model=model, store=store)
+        #: pattern name -> (check of the pattern's alternatives, memoized?)
+        self._patterns: Dict[str, Tuple[DataCheck, bool]] = {}
+
+    def check(self, node: Union[Tree, Ref], name: str) -> Optional[bool]:
+        """``is_instance(node, model.pattern(name))``, or None when the
+        model defines no such pattern (a wildcard: typing is optional,
+        Section 3.5)."""
+        entry = self._patterns.get(name)
+        if entry is None:
+            if not self.defines(name):
+                return None
+            entry = self._compile_pattern(name)
+        check, memoized = entry
+        if not memoized:
+            return check(node, self)
+        return self._context.check_pair(node, name, partial(check, node, self))
+
+    def defines(self, name: str) -> bool:
+        return _lookup(self.model, name) is not None
+
+    # -- compilation --------------------------------------------------------
+
+    def _entry(self, name: str) -> Tuple[DataCheck, bool]:
+        entry = self._patterns.get(name)
+        return entry if entry is not None else self._compile_pattern(name)
+
+    def _compile_pattern(self, name: str) -> Tuple[DataCheck, bool]:
+        pattern = _lookup(self.model, name)
+        if pattern is None:
+            raise ModelError(f"no pattern {name!r} to check against")
+        checks = tuple(self._compile(alt) for alt in pattern.alternatives)
+        memoized = not all(_self_contained(alt) for alt in pattern.alternatives)
+        entry = (checks[0] if len(checks) == 1 else partial(_first_passing, checks),
+                 memoized)
+        self._patterns[name] = entry
+        return entry
+
+    def _compile(self, source: PChild) -> DataCheck:
+        # Names compile to a run-time lookup of their pattern's entry, so
+        # a recursive pattern compiles without reaching itself.
+        if isinstance(source, PVarLeaf):
+            domain = source.var.domain_pattern
+            if domain is None or not self.defines(domain):
+                return _always
+            return partial(_nested, domain)
+        if isinstance(source, PNameLeaf):
+            functor = source.term.functor
+            if not self.defines(functor):
+                return _always  # unresolvable names behave like wildcards
+            return partial(_nested, functor)
+        if isinstance(source, PRefLeaf):
+            target = source.target
+            if isinstance(target, NameTerm):
+                if not self.defines(target.functor) or self.store is None:
+                    return _is_ref
+                return partial(_referenced, target.functor)
+            return _is_ref
+        label = source.label
+        if isinstance(label, Var):
+            label_ok: Callable[[Label], bool] = label.domain.contains
+        else:
+            label_ok = partial(eq, label)
+        if not source.edges:
+            return partial(_leaf_node, label_ok)
+        kinds = tuple(edge.kind for edge in source.edges)
+        targets = tuple(self._compile(edge.target) for edge in source.edges)
+        return partial(_inner_node, label_ok, kinds, targets)
+
+
+def _self_contained(source: PChild) -> bool:
+    """Does checking *source* reach no pattern name (so no memo and no
+    co-induction can change its answer)?"""
+    if isinstance(source, PVarLeaf):
+        return source.var.domain_pattern is None
+    if isinstance(source, PNameLeaf):
+        return False
+    if isinstance(source, PRefLeaf):
+        return not isinstance(source.target, NameTerm)
+    return all(_self_contained(edge.target) for edge in source.edges)
+
+
+def _nested(name: str, node: Union[Tree, Ref], checker: DataChecker) -> bool:
+    """A name (or a pattern variable's domain) inside a pattern: as
+    :func:`_against_pattern` on data."""
+    check, memoized = checker._entry(name)
+    if not memoized:
+        return check(node, checker)
+    return checker._context.check_pair(
+        ("data", node), name, partial(check, node, checker)
+    )
+
+
+def _referenced(functor: str, node: Union[Tree, Ref], checker: DataChecker) -> bool:
+    """``&Name`` inside a pattern: as :func:`_reference_instance` on
+    data."""
+    if not isinstance(node, Ref):
+        return False
+    referenced = checker.store.get_optional(node.target)  # type: ignore[union-attr]
+    if referenced is None:
+        return True  # cannot check a dangling ref structurally
+    check = checker._entry(functor)[0]
+    return checker._context.check_pair(
+        ("ref", node.target), functor, partial(check, referenced, checker)
+    )
+
+
+def _always(node: Union[Tree, Ref], checker: DataChecker) -> bool:
+    return True
+
+
+def _is_ref(node: Union[Tree, Ref], checker: DataChecker) -> bool:
+    return isinstance(node, Ref)
+
+
+def _first_passing(
+    checks: Tuple[DataCheck, ...], node: Union[Tree, Ref], checker: DataChecker
+) -> bool:
+    for check in checks:
+        if check(node, checker):
+            return True
+    return False
+
+
+def _leaf_node(label_ok, node: Union[Tree, Ref], checker: DataChecker) -> bool:
+    return isinstance(node, Tree) and label_ok(node.label) and not node.children
+
+
+def _inner_node(
+    label_ok, kinds: Tuple[str, ...], targets: Tuple[DataCheck, ...],
+    node: Union[Tree, Ref], checker: DataChecker,
+) -> bool:
+    if isinstance(node, Ref) or not label_ok(node.label):
+        return False
+    return _align(node.children, kinds, targets, checker, 0, 0, {})
+
+
+def _align(
+    children: Sequence,
+    kinds: Tuple[str, ...],
+    targets: Tuple[DataCheck, ...],
+    checker: DataChecker,
+    i: int,
+    j: int,
+    memo: Dict[Tuple[int, int], bool],
+) -> bool:
+    """:func:`_edges_from` over data children, with compiled targets."""
+    key = (i, j)
+    if key in memo:
+        return memo[key]
+    n = len(children)
+    if j == len(kinds):
+        result = i == n
+    elif kinds[j] == ONE:
+        result = (
+            i < n
+            and targets[j](children[i], checker)
+            and _align(children, kinds, targets, checker, i + 1, j + 1, memo)
+        )
+    else:
+        result = _align(children, kinds, targets, checker, i, j + 1, memo)
+        k = i
+        while not result and k < n:
+            if not targets[j](children[k], checker):
+                break
+            k += 1
+            result = _align(children, kinds, targets, checker, k, j + 1, memo)
+    memo[key] = result
+    return result
 
 
 def tree_is_instance(

@@ -288,10 +288,18 @@ class DataStore:
     collections). Supports reference resolution and full
     materialization (splicing referenced trees in place of ``&`` leaves,
     with cycle protection).
+
+    ``model`` is the store's *model tag*: a model every tree of the store
+    is an instance of by construction (Section 3.5), set by the import
+    wrapper that built the store, e.g. the ODMG model for
+    ``import_odmg``. A run over a tagged store leaves out the domain
+    checks the tag already proves. Any :meth:`add` or :meth:`remove`
+    clears it, and so does a :meth:`copy`.
     """
 
     def __init__(self, items: Optional[Dict[str, Tree]] = None) -> None:
         self._trees: Dict[str, Tree] = {}
+        self.model = None
         if items:
             for name, node in items.items():
                 self.add(name, node)
@@ -302,9 +310,11 @@ class DataStore:
         if not isinstance(node, Tree):
             raise TypeError(f"store values must be trees, got {node!r}")
         self._trees[name] = node
+        self.model = None
 
     def remove(self, name: str) -> None:
         del self._trees[name]
+        self.model = None
 
     # -- access -------------------------------------------------------------
 

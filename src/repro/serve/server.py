@@ -108,6 +108,12 @@ from .telemetry import RequestLog, TraceStore, clean_trace_id, trace_payload
 #: runaway Content-Length allocating unbounded memory.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Smallest listen backlog. The stdlib default of 5 overflows under a
+#: burst of new connections, and an overflowed SYN is retransmitted
+#: only after about a second; a connection admission control would shed
+#: must be accepted first to receive its 429.
+LISTEN_BACKLOG_FLOOR = 128
+
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -128,6 +134,11 @@ class _Httpd(ThreadingHTTPServer):
 
     def __init__(self, address, handler, mediator: "MediatorServer") -> None:
         self.mediator = mediator
+        # Read by server_activate's listen(): at least the admission
+        # queue, so every connection the queue could hold is accepted.
+        self.request_queue_size = max(
+            LISTEN_BACKLOG_FLOOR, mediator.max_queue_depth or 0
+        )
         super().__init__(address, handler)
 
 

@@ -3,13 +3,15 @@
 A DTD declares, per element, a *content model*: a regular expression
 over child element names and ``#PCDATA``. Content models are parsed
 into a small AST (:class:`Seq`, :class:`Choice`, :class:`Repeat`,
-:class:`NameRef`, :class:`PCData`, :class:`Empty`) which the validator
-matches against actual children.
+:class:`NameRef`, :class:`PCData`, :class:`Empty`), and each model
+compiles once into a :class:`ContentAutomaton` cached on its
+:class:`DTD`, which the validator runs over actual children.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import threading
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SchemaError
 
@@ -107,6 +109,139 @@ class Repeat(ContentModel):
 
 
 # ---------------------------------------------------------------------------
+# Content automata
+# ---------------------------------------------------------------------------
+
+#: The symbol a non-ignorable text child reads (no element name starts
+#: with ``#``).
+PCDATA = "#PCDATA"
+
+
+class ContentAutomaton:
+    """A content model compiled to a deterministic automaton over child
+    symbols: element tags, and :data:`PCDATA` for text.
+
+    The Glushkov construction gives one position per ``NameRef`` or
+    ``#PCDATA`` occurrence (``#PCDATA`` reads any number of text
+    children, so its position follows itself) and the ``first``,
+    ``last`` and ``follow`` sets of the model. The subset construction
+    then runs lazily: a DFA state is a set of positions, numbered on
+    first reach, and each transition is computed once, on its first
+    use. SGML asks for unambiguous models, where every state is a single
+    position; ambiguous ones such as ``((a, b) | (a, c))`` are accepted
+    by the parser and work the same way.
+
+    ``delta[state]`` maps a symbol to the next state (``DEAD`` once no
+    continuation can match), ``accepting[state]`` tells whether the
+    children read so far match the whole model. ``delta`` is None for
+    ``ANY``, which accepts every content. ``EMPTY`` accepts only no
+    content.
+    """
+
+    DEAD = -1
+
+    __slots__ = ("model", "delta", "accepting", "_symbols", "_follow",
+                 "_sets", "_states", "_last", "_lock")
+
+    def __init__(self, model: ContentModel) -> None:
+        self.model = model
+        # New states are numbered under the lock: validations sharing a
+        # DTD may step through the same automaton from several threads.
+        self._lock = threading.Lock()
+        #: symbol of each position
+        self._symbols: List[str] = []
+        #: positions that may follow each position; the initial state's
+        #: pseudo-position -1 is followed by the first positions
+        self._follow: Dict[int, Set[int]] = {}
+        #: the position set of each state, and its inverse
+        self._sets: List[FrozenSet[int]] = []
+        self._states: Dict[FrozenSet[int], int] = {}
+        if isinstance(model, AnyContent):
+            self.delta: Optional[List[Dict[str, int]]] = None
+            self.accepting: List[bool] = [True]
+            self._last: FrozenSet[int] = frozenset()
+            return
+        nullable, first, last = self._glushkov(model)
+        self._follow[-1] = set(first)
+        self._last = frozenset(last)
+        self.delta = []
+        self.accepting = []
+        self._state(frozenset((-1,)), nullable)
+
+    def _glushkov(self, model: ContentModel) -> Tuple[bool, Set[int], Set[int]]:
+        """``(nullable, first, last)`` of *model*, recording its
+        positions and their ``follow`` sets."""
+        if isinstance(model, (NameRef, PCData)):
+            position = len(self._symbols)
+            self._symbols.append(
+                model.name if isinstance(model, NameRef) else PCDATA
+            )
+            follow = self._follow[position] = set()
+            if isinstance(model, PCData):
+                follow.add(position)
+                return True, {position}, {position}
+            return False, {position}, {position}
+        if isinstance(model, Seq):
+            nullable, first, last = True, set(), set()
+            for item in model.items:
+                item_nullable, item_first, item_last = self._glushkov(item)
+                for position in last:
+                    self._follow[position] |= item_first
+                if nullable:
+                    first |= item_first
+                last = (item_last | last) if item_nullable else item_last
+                nullable = nullable and item_nullable
+            return nullable, first, last
+        if isinstance(model, Choice):
+            nullable, first, last = False, set(), set()
+            for option in model.options:
+                option_nullable, option_first, option_last = self._glushkov(option)
+                nullable = nullable or option_nullable
+                first |= option_first
+                last |= option_last
+            return nullable, first, last
+        if isinstance(model, Repeat):
+            nullable, first, last = self._glushkov(model.item)
+            if model.mode != "?":
+                for position in last:
+                    self._follow[position] |= first
+            return nullable or model.mode != "+", first, last
+        if isinstance(model, (Empty, AnyContent)):
+            return True, set(), set()
+        raise SchemaError(f"unknown content model node {model!r}")
+
+    def _state(self, positions: FrozenSet[int], accepting: bool) -> int:
+        number = self._states.get(positions)
+        if number is None:
+            number = self._states[positions] = len(self._sets)
+            self._sets.append(positions)
+            self.delta.append({})
+            self.accepting.append(accepting)
+        return number
+
+    def step(self, state: int, symbol: str) -> int:
+        """The transition of *state* on *symbol*, computed and cached on
+        first use (the validator reads ``delta`` directly after that)."""
+        assert self.delta is not None
+        with self._lock:
+            target = self.delta[state].get(symbol)
+            if target is not None:
+                return target
+            targets = frozenset(
+                follower
+                for position in self._sets[state]
+                for follower in self._follow[position]
+                if self._symbols[follower] == symbol
+            )
+            if targets:
+                target = self._state(targets, not targets.isdisjoint(self._last))
+            else:
+                target = self.DEAD
+            self.delta[state][symbol] = target
+        return target
+
+
+# ---------------------------------------------------------------------------
 # DTD
 # ---------------------------------------------------------------------------
 
@@ -126,6 +261,7 @@ class DTD:
     def __init__(self, root: str, elements: Iterable[ElementDecl] = ()) -> None:
         self.root = root
         self._elements: Dict[str, ElementDecl] = {}
+        self._automata: Optional[Dict[str, ContentAutomaton]] = None
         for element in elements:
             self.add(element)
 
@@ -133,6 +269,19 @@ class DTD:
         if element.name in self._elements:
             raise SchemaError(f"duplicate element declaration {element.name!r}")
         self._elements[element.name] = element
+        self._automata = None
+
+    def automata(self) -> Dict[str, ContentAutomaton]:
+        """Each declared element's compiled content model, by name;
+        compiled on the first call and cached until a declaration is
+        added."""
+        automata = self._automata
+        if automata is None:
+            automata = self._automata = {
+                name: ContentAutomaton(decl.content)
+                for name, decl in self._elements.items()
+            }
+        return automata
 
     def element(self, name: str) -> ElementDecl:
         try:

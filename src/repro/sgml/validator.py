@@ -1,28 +1,22 @@
 """Validation of SGML documents against a DTD.
 
-Content models are regular expressions over child names; validation
-computes, per model node, the set of positions reachable in the child
-sequence (a standard Glushkov-style interpretation, memoized). Text
-children match ``#PCDATA``; whitespace-only text is ignorable anywhere.
+Each element's content model runs as the deterministic automaton its
+:class:`~repro.sgml.dtd.DTD` compiled it to (see
+:class:`~repro.sgml.dtd.ContentAutomaton`): one transition per child,
+element children reading their tag and text children ``#PCDATA``.
+Whitespace-only text is ignorable anywhere. An element's content is
+checked before its children, which are checked in document order, so
+the first error in that order is the one reported, and its path is
+built only then.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Dict, List, Union
 
 from ..errors import SchemaError
 from .document import Element
-from .dtd import (
-    AnyContent,
-    Choice,
-    ContentModel,
-    DTD,
-    Empty,
-    NameRef,
-    PCData,
-    Repeat,
-    Seq,
-)
+from .dtd import PCDATA, DTD, ContentAutomaton, Empty
 
 
 class ValidationError(SchemaError):
@@ -33,13 +27,27 @@ class ValidationError(SchemaError):
         super().__init__(f"{path}: {message}")
 
 
+class _Invalid(Exception):
+    """An error found below the root: collects the path steps, innermost
+    first, while it unwinds to :func:`validate`."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+        self.steps: List[str] = []
+
+
 def validate(document: Element, dtd: DTD) -> None:
     """Raise :class:`ValidationError` unless *document* conforms."""
     if document.tag != dtd.root:
         raise ValidationError(
             "/", f"root element is {document.tag!r}, expected {dtd.root!r}"
         )
-    _validate_element(document, dtd, f"/{document.tag}")
+    try:
+        _validate_element(document, dtd.automata())
+    except _Invalid as invalid:
+        steps = [document.tag] + invalid.steps[::-1]
+        raise ValidationError("/" + "/".join(steps), invalid.message) from None
 
 
 def is_valid(document: Element, dtd: DTD) -> bool:
@@ -50,95 +58,49 @@ def is_valid(document: Element, dtd: DTD) -> bool:
     return True
 
 
-def _validate_element(element: Element, dtd: DTD, path: str) -> None:
-    if not dtd.declares(element.tag):
-        raise ValidationError(path, f"undeclared element {element.tag!r}")
-    model = dtd.element(element.tag).content
-    children = [c for c in element.children if not _ignorable(c)]
-    if isinstance(model, Empty):
-        if children:
-            raise ValidationError(path, "declared EMPTY but has content")
-    elif isinstance(model, AnyContent):
-        pass
-    else:
-        ends = _match(model, children, 0, {})
-        if len(children) not in ends:
-            raise ValidationError(
-                path,
-                f"content {_describe(children)} does not match "
-                f"{model.render()}",
-            )
-    for index, child in enumerate(element.elements()):
-        _validate_element(child, dtd, f"{path}/{child.tag}[{index}]")
-
-
-def _ignorable(child: Union[Element, str]) -> bool:
-    return isinstance(child, str) and not child.strip()
-
-
-def _describe(children: List[Union[Element, str]]) -> str:
-    names = [c.tag if isinstance(c, Element) else "#PCDATA" for c in children]
-    return "(" + ", ".join(names) + ")"
-
-
-def _match(
-    model: ContentModel,
-    children: List[Union[Element, str]],
-    start: int,
-    memo: Dict[Tuple[int, int], FrozenSet[int]],
-) -> FrozenSet[int]:
-    """Positions reachable by matching *model* from *start*."""
-    key = (id(model), start)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    memo[key] = frozenset()  # cycle guard for pathological models
-    result: Set[int] = set()
-    if isinstance(model, PCData):
-        # #PCDATA matches zero or more text children.
-        result.add(start)
-        position = start
-        while position < len(children) and isinstance(children[position], str):
-            position += 1
-            result.add(position)
-    elif isinstance(model, NameRef):
-        if start < len(children):
-            child = children[start]
-            if isinstance(child, Element) and child.tag == model.name:
-                result.add(start + 1)
-    elif isinstance(model, Seq):
-        positions: Set[int] = {start}
-        for item in model.items:
-            next_positions: Set[int] = set()
-            for position in positions:
-                next_positions |= _match(item, children, position, memo)
-            positions = next_positions
-            if not positions:
+def _validate_element(
+    element: Element, automata: Dict[str, ContentAutomaton]
+) -> None:
+    automaton = automata.get(element.tag)
+    if automaton is None:
+        raise _Invalid(f"undeclared element {element.tag!r}")
+    children = element.children
+    delta = automaton.delta
+    if delta is not None:  # not ANY
+        state = 0
+        for child in children:
+            if isinstance(child, str):
+                if not child or child.isspace():
+                    continue  # ignorable
+                symbol = PCDATA
+            else:
+                symbol = child.tag
+            following = delta[state].get(symbol)
+            state = automaton.step(state, symbol) if following is None else following
+            if state < 0:  # DEAD
                 break
-        result = positions
-    elif isinstance(model, Choice):
-        for option in model.options:
-            result |= _match(option, children, start, memo)
-    elif isinstance(model, Repeat):
-        if model.mode == "?":
-            result = {start} | set(_match(model.item, children, start, memo))
-        else:
-            # * and +: iterate to a fixpoint
-            reachable: Set[int] = set()
-            frontier = {start}
-            while frontier:
-                position = frontier.pop()
-                for end in _match(model.item, children, position, memo):
-                    if end not in reachable and end != position:
-                        reachable.add(end)
-                        frontier.add(end)
-            result = set(reachable)
-            if model.mode == "*":
-                result.add(start)
-    elif isinstance(model, (Empty, AnyContent)):
-        result.add(start)
-    else:  # pragma: no cover - exhaustive over the AST
-        raise SchemaError(f"unknown content model node {model!r}")
-    frozen = frozenset(result)
-    memo[key] = frozen
-    return frozen
+        if state < 0 or not automaton.accepting[state]:
+            raise _Invalid(_mismatch(automaton, children))
+    index = 0
+    for child in children:
+        if not isinstance(child, str):
+            try:
+                _validate_element(child, automata)
+            except _Invalid as invalid:
+                invalid.steps.append(f"{child.tag}[{index}]")
+                raise
+            index += 1
+
+
+def _mismatch(automaton: ContentAutomaton, children: List[Union[Element, str]]) -> str:
+    if isinstance(automaton.model, Empty):
+        return "declared EMPTY but has content"
+    names = [
+        c.tag if isinstance(c, Element) else PCDATA
+        for c in children
+        if not (isinstance(c, str) and (not c or c.isspace()))
+    ]
+    return (
+        f"content ({', '.join(names)}) does not match "
+        f"{automaton.model.render()}"
+    )

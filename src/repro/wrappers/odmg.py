@@ -7,7 +7,9 @@ An object imports as the class pattern shape of Figure 2::
                     -> suppliers -> set < &s1, &s2 > >
 
 named by its OID; references become YAT references, so cyclic object
-graphs import faithfully. Export walks trees of that shape back into a
+graphs import faithfully. Every imported tree follows its class's
+declared types, so the import tags its store with the ODMG model
+(:attr:`DataStore.model`). Export walks trees of that shape back into a
 validated :class:`ObjectStore` (deferring reference checks until the
 whole store is loaded).
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..core.labels import Symbol, is_atom
+from ..core.models import odmg_model
 from ..core.trees import DataStore, Ref, Tree
 from ..errors import WrapperError
 from ..objectdb.schema import ObjectSchema
@@ -43,6 +46,10 @@ class OdmgImportWrapper(ImportWrapper[ObjectStore]):
         with span("wrapper.import", source="odmg"):
             for instance in source:
                 store.add(instance.oid.value, self.object_to_tree(source, instance))
+        # Each tree is `class -> Class < Att -> value >` and each value
+        # was built by value_to_tree from its declared type: an instance
+        # of the ODMG model's Pclass.
+        store.model = odmg_model()
         record("wrapper.import.trees", len(store), source="odmg")
         stamp_inputs(store, "odmg")
         stamp_fingerprint(store, "odmg")

@@ -44,7 +44,6 @@ from .typing import (
 from .interpreter import ConversionResult, Interpreter
 from .program import Program
 from .updates import ResultDiff, affected_outputs, diff_results
-from .trace import Trace, RuleTrace, explain
 from .lint import Diagnostic, errors_of, lint_program, lint_rule
 from .builder import ProgramBuilder, RuleBuilder, program_, rule_
 from .customize import Renamer, derive_rule, instantiate_program

@@ -49,6 +49,7 @@ from .functions import FunctionRegistry, evaluate_comparison, standard_registry
 from .hierarchy import Hierarchy
 from .matching import MatchContext
 from .skolem import SkolemTable
+from .typing import discharged_checks
 from ..core.variables import PatternVar, Var
 
 # Metric names (the catalog lives in docs/OBSERVABILITY.md). Per-rule
@@ -81,6 +82,8 @@ M_SKOLEM_FRESH = "yatl.skolem.ids_fresh"
 M_SKOLEM_REUSED = "yatl.skolem.ids_reused"
 M_SKOLEM_SIZE = "yatl.skolem.table_size"
 M_MATCH_COVERAGE_MEMO_HITS = "yatl.match.coverage_memo_hits"
+M_TYPING_DISCHARGED = "yatl.typing.checks_discharged"
+M_TYPING_RUN = "yatl.typing.checks_run"
 M_PROVENANCE_FIRINGS = "yatl.provenance.firings"
 M_PROVENANCE_RECORDS = "yatl.provenance.records"
 
@@ -217,6 +220,11 @@ class Interpreter:
     program_name:
         Stamped on every provenance record this interpreter emits, so
         cross-program chains name the program each hop came from.
+    typing_proofs:
+        Cache for the proofs of which domain checks a store's model tag
+        discharges (:func:`repro.yatl.typing.discharged_checks`), kept
+        by the owner of *rules*: :meth:`Program.run` passes its own, so
+        a program proves each (model, tag) pair once.
     """
 
     def __init__(
@@ -236,6 +244,7 @@ class Interpreter:
         metrics: Optional[MetricsRegistry] = None,
         provenance: Optional[ProvenanceStore] = None,
         program_name: Optional[str] = None,
+        typing_proofs: Optional[dict] = None,
     ) -> None:
         self.rules = list(rules)
         self.registry = registry or standard_registry()
@@ -247,6 +256,7 @@ class Interpreter:
         self.metrics = metrics
         self.provenance = provenance
         self.program_name = program_name
+        self.typing_proofs = typing_proofs
         self.dispatch = self.hierarchy.dispatch_index() if use_dispatch_index else None
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -367,7 +377,7 @@ class Interpreter:
         subjects as a group of one."""
         with span("yatl.rule", rule=rule.name, candidates=sum(map(len, groups))):
             started = time.perf_counter() if metrics is not None else 0.0
-            body = rule.plan().body
+            body = rule.plan().body_for(rule, mctx.discharged.get(rule.name))
             with span("yatl.phase.match", rule=rule.name):
                 matched = [body.match(group, mctx) for group in groups]  # phase 1
             n_matched = sum(map(len, matched))
@@ -479,7 +489,19 @@ class _RunState:
         # Dispatch accounting: plain ints on the hot path, flushed into
         # the registry once, in finish().
         self.dispatch_stats = DispatchStats()
-        self.match_ctx = MatchContext(store=store, model=interpreter.model)
+        # Over a store tagged with its model, the domain checks the tag
+        # implies are left out of the rules' match programs (§3.5).
+        discharged = (
+            discharged_checks(
+                interpreter.rules, interpreter.model, store.model,
+                interpreter.typing_proofs,
+            )
+            if store.model is not None
+            else None
+        )
+        self.match_ctx = MatchContext(
+            store=store, model=interpreter.model, discharged=discharged
+        )
         self.constructor = Constructor(self.skolems, self._on_skolem)
         # Demand-driven evaluation bookkeeping. Insertion-ordered dicts
         # (not sets): demand_loop iterates pending_deref, and set order
@@ -898,7 +920,15 @@ class _RunState:
         m.counter(M_SKOLEM_FRESH).inc(self.skolems.fresh_ids)
         m.counter(M_SKOLEM_REUSED).inc(self.skolems.reused_ids)
         m.gauge(M_SKOLEM_SIZE).set(len(self.skolems))
-        m.counter(M_MATCH_COVERAGE_MEMO_HITS).inc(self.match_ctx.coverage_memo_hits)
+        ctx = self.match_ctx
+        m.counter(M_MATCH_COVERAGE_MEMO_HITS).inc(ctx.coverage_memo_hits)
+        for name, counts in (
+            (M_TYPING_DISCHARGED, ctx.checks_discharged),
+            (M_TYPING_RUN, ctx.checks_run),
+        ):
+            counter = m.counter(name)
+            for pattern, count in counts.items():
+                counter.inc(count, pattern=pattern)
         if self.prov_firings:
             m.counter(M_PROVENANCE_FIRINGS).inc(self.prov_firings)
         if self.prov_records:

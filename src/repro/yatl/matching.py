@@ -23,13 +23,19 @@ its body once, on first application, and caches the program in its
 plan (:meth:`Rule.plan`). A closure captures only the programs of its
 children, never itself, so programs are acyclic and reference counting
 frees them with their rule.
+
+A typed pattern variable (``P2:Ptype``) checks the subtree it binds
+against its domain pattern (Section 3.5), through the run's compiled
+:class:`~repro.core.instantiation.DataChecker`. When the input store's
+model tag already implies the check (:func:`~repro.yatl.typing.discharged_checks`),
+the rule runs a variant of its program compiled without it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..core.instantiation import InstantiationContext, is_instance
+from ..core.instantiation import DataChecker
 from ..core.patterns import (
     INDEX,
     ONE,
@@ -54,17 +60,34 @@ Matcher = Callable[[Child, Binding, "MatchContext"], List[Binding]]
 #: A compiled edge list: all alignments of the edges with the children
 #: of a data node, before deduplication.
 EdgeProgram = Callable[[Sequence[Child], Binding, "MatchContext"], List[Binding]]
+#: A node of a body pattern tree: the edge indexes leading to it from
+#: the pattern's root.
+Path = Tuple[int, ...]
+#: A node of a rule body: (body pattern index, path in that pattern).
+Position = Tuple[int, Path]
 
 
 class MatchContext:
     """What the matcher needs besides the pattern: the store (to follow
-    references) and optionally a model (to check typed pattern
-    variables and pattern-name leaves)."""
+    references), optionally a model (to check typed pattern variables
+    and pattern-name leaves), and the domain checks the store's model
+    tag discharges, per rule name."""
 
-    def __init__(self, store: Optional[DataStore] = None, model=None) -> None:
+    def __init__(
+        self,
+        store: Optional[DataStore] = None,
+        model=None,
+        discharged: Optional[Dict[str, FrozenSet[Position]]] = None,
+    ) -> None:
         self.store = store
         self.model = model
-        self._icontext: Optional[InstantiationContext] = None
+        self.discharged: Dict[str, FrozenSet[Position]] = discharged or {}
+        self._checker: Optional[DataChecker] = None
+        # Typing accounting, per domain pattern name, flushed like the
+        # memo hits below: checks run through the checker, and checks a
+        # discharged variable leaf left out.
+        self.checks_run: Dict[str, int] = {}
+        self.checks_discharged: Dict[str, int] = {}
         # Memoized structural coverage: (target program, data node) ->
         # bool. Used when a collection child conflicts with bound join
         # variables and only shape matters (see _covers). Keyed by the
@@ -90,14 +113,15 @@ class MatchContext:
         names behave like wildcards (typing is optional, Section 3.5)."""
         if self.model is None:
             return True
-        pattern = self.model.get_pattern(pattern_name)
-        if pattern is None:
+        checker = self._checker
+        if checker is None:
+            checker = self._checker = DataChecker(self.model, self.store)
+        verdict = checker.check(node, pattern_name)
+        if verdict is None:
             return True
-        if self._icontext is None:
-            self._icontext = InstantiationContext(
-                source_model=self.model, store=self.store
-            )
-        return is_instance(node, pattern, self._icontext)
+        counts = self.checks_run
+        counts[pattern_name] = counts.get(pattern_name, 0) + 1
+        return verdict
 
     def resolve(self, ref: Ref) -> Optional[Tree]:
         if self.store is None:
@@ -110,21 +134,37 @@ class MatchContext:
 # ---------------------------------------------------------------------------
 
 
-def compile_match(pattern: PChild) -> Matcher:
-    """The match program of one pattern tree."""
+def compile_match(
+    pattern: PChild, discharged: FrozenSet[Path] = frozenset(), path: Path = ()
+) -> Matcher:
+    """The match program of one pattern tree (at *path* in its body
+    pattern), leaving out the domain checks of the variable leaves at
+    the *discharged* paths."""
     if isinstance(pattern, PVarLeaf):
-        return _var_leaf(pattern.var)
+        return _var_leaf(pattern.var, path in discharged)
     if isinstance(pattern, PNameLeaf):
         return _name_leaf(pattern.term)
     if isinstance(pattern, PRefLeaf):
         return _ref_leaf(pattern.target)
-    return _node(pattern)
+    return _node(pattern, discharged, path)
 
 
-def _var_leaf(var: PatternVar) -> Matcher:
+def _var_leaf(var: PatternVar, discharged: bool) -> Matcher:
     """A pattern variable leaf binds the whole subtree, possibly after
-    checking it against the variable's domain pattern."""
+    checking it against the variable's domain pattern; a discharged
+    check is only counted."""
     name, domain = var.name, var.domain_pattern
+    if domain is not None and discharged:
+
+        def match_discharged(
+            node: Child, binding: Binding, ctx: MatchContext
+        ) -> List[Binding]:
+            counts = ctx.checks_discharged
+            counts[domain] = counts.get(domain, 0) + 1
+            extended = binding.bind_name(name, node)
+            return [extended] if extended is not None else []
+
+        return match_discharged
 
     def match(node: Child, binding: Binding, ctx: MatchContext) -> List[Binding]:
         if domain is not None and not ctx.instance_check(node, domain):
@@ -199,14 +239,14 @@ def _ref_leaf(target: Union[NameTerm, PatternVar]) -> Matcher:
     return match_bound
 
 
-def _node(pattern: PNode) -> Matcher:
+def _node(pattern: PNode, discharged: FrozenSet[Path], path: Path) -> Matcher:
     """An ordinary node: a constant label must equal the data label; a
     variable label binds it (within the variable's domain). A pattern
     leaf only matches a data leaf; otherwise the edges are aligned with
     the children and the alignments deduplicated — except behind a
     single plain edge, whose target's alignments come deduplicated."""
     label = pattern.label
-    edges = _compile_edges(pattern.edges) if pattern.edges else None
+    edges = _compile_edges(pattern.edges, discharged, path) if pattern.edges else None
     dedup = not (len(pattern.edges) == 1 and pattern.edges[0].kind == ONE)
     if not isinstance(label, Var):
 
@@ -269,8 +309,15 @@ def _node(pattern: PNode) -> Matcher:
 #   tried, as a chain of steps, each calling the next.
 
 
-def _compile_edges(edges: Sequence[PEdge]) -> EdgeProgram:
-    targets = [compile_match(edge.target) for edge in edges]
+def _compile_edges(
+    edges: Sequence[PEdge],
+    discharged: FrozenSet[Path] = frozenset(),
+    path: Path = (),
+) -> EdgeProgram:
+    targets = [
+        compile_match(edge.target, discharged, path + (index,))
+        for index, edge in enumerate(edges)
+    ]
     if all(edge.kind == ONE for edge in edges):
         return _plain_edges(tuple(targets))
     step = _end
@@ -440,17 +487,25 @@ class BodyProgram:
 
     *Root* body patterns (those whose name is not bound by a leaf of
     another pattern) range over the input trees; dependent patterns
-    match the tree their name variable is already bound to."""
+    match the tree their name variable is already bound to. The domain
+    checks at the *discharged* positions are left out."""
 
     __slots__ = ("rule_name", "patterns")
 
-    def __init__(self, rule: Rule) -> None:
+    def __init__(self, rule: Rule, discharged: FrozenSet[Position] = frozenset()) -> None:
         roots = {bp.name.name for bp in rule.root_body_patterns()}
         self.rule_name = rule.name
         #: (name, is_root, match program) per body pattern, in order
         self.patterns: Tuple[Tuple[str, bool, Matcher], ...] = tuple(
-            (bp.name.name, bp.name.name in roots, compile_match(bp.tree))
-            for bp in rule.body
+            (
+                bp.name.name,
+                bp.name.name in roots,
+                compile_match(
+                    bp.tree,
+                    frozenset(path for at, path in discharged if at == index),
+                ),
+            )
+            for index, bp in enumerate(rule.body)
         )
 
     def match(self, input_trees: Sequence[Child], ctx: MatchContext) -> List[Binding]:

@@ -13,21 +13,25 @@ never compiled.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, FrozenSet, Optional
 
 from .ast import Rule
 from .construction import HeadBuilder, SkolemTerm, compile_head
-from .matching import BodyProgram
+from .matching import BodyProgram, Position
 
 
 class RulePlan:
     """Phase 1's match program, plus (for rules with a head) the head
-    term's Skolem arguments and phase 5's head builder."""
+    term's Skolem arguments and phase 5's head builder. Runs over a
+    store whose model tag discharges some of the body's domain checks
+    use a variant of the match program without them (:meth:`body_for`),
+    compiled once per set of discharged positions."""
 
-    __slots__ = ("body", "head_term", "head")
+    __slots__ = ("body", "head_term", "head", "_typed_bodies")
 
     def __init__(self, rule: Rule) -> None:
         self.body = BodyProgram(rule)
+        self._typed_bodies: Dict[FrozenSet[Position], BodyProgram] = {}
         head = rule.head
         self.head_term: Optional[SkolemTerm] = (
             SkolemTerm(head.term) if head is not None else None
@@ -35,3 +39,15 @@ class RulePlan:
         self.head: Optional[HeadBuilder] = (
             compile_head(head.tree) if head is not None else None
         )
+
+    def body_for(
+        self, rule: Rule, discharged: Optional[FrozenSet[Position]]
+    ) -> BodyProgram:
+        """The match program of *rule* (this plan's rule) without the
+        domain checks at the *discharged* positions, if any."""
+        if not discharged:
+            return self.body
+        body = self._typed_bodies.get(discharged)
+        if body is None:
+            body = self._typed_bodies[discharged] = BodyProgram(rule, discharged)
+        return body

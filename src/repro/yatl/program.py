@@ -46,6 +46,8 @@ class Program:
         self.input_model = input_model
         self.output_model = output_model
         self.enforced_order: List[Tuple[str, str]] = []
+        #: discharged-check proofs of this rule set, per (model, tag)
+        self._typing_proofs: dict = {}
         for rule in rules:
             self.add_rule(rule)
 
@@ -57,6 +59,7 @@ class Program:
                 f"program {self.name!r} already has a rule named {rule.name!r}"
             )
         self.rules.append(rule)
+        self._typing_proofs.clear()
 
     def rule(self, name: str) -> Rule:
         for rule in self.rules:
@@ -67,12 +70,14 @@ class Program:
     def remove_rule(self, name: str) -> Rule:
         rule = self.rule(name)
         self.rules.remove(rule)
+        self._typing_proofs.clear()
         return rule
 
     def replace_rule(self, name: str, replacement: Rule) -> None:
         """Swap a rule for a customized version (Section 4.1 workflow)."""
         index = self.rules.index(self.rule(name))
         self.rules[index] = replacement
+        self._typing_proofs.clear()
 
     def enforce_order(self, specific: str, general: str) -> None:
         """Force *specific* to be tried before *general* in the rule
@@ -169,6 +174,7 @@ class Program:
             executor=executor,
             provenance=provenance,
             program_name=self.name,
+            typing_proofs=self._typing_proofs,
         )
         return interpreter.run(data)
 

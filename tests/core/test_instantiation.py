@@ -1,9 +1,11 @@
 """Instantiation: the Figure 2 tower and the edge/variable rules."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instantiation import (
+    DataChecker,
     InstantiationContext,
     check_instance,
     is_instance,
@@ -31,7 +33,7 @@ from repro.core.patterns import (
     ref_leaf,
     var,
 )
-from repro.core.trees import Ref, Tree, atom, tree
+from repro.core.trees import DataStore, Ref, Tree, atom, tree
 from repro.core.variables import ANY, ATOMIC, STRING, SYMBOL, Var
 from repro.errors import InstantiationError
 
@@ -204,3 +206,79 @@ class TestCheckInstance:
 
     def test_passes_silently(self):
         check_instance(pnode("car"), var("L"))
+
+
+# Random object-like stores for the compiled checker: references among
+# a few names (cycles included, one dangling), atoms of every type, and
+# ill-typed nodes next to well-typed ones.
+_NAMES = ["o0", "o1", "o2", "gone"]
+_leaf = st.one_of(
+    st.sampled_from(["s", "", 3, 0, True, 1.5]).map(atom),
+    st.sampled_from(_NAMES).map(Ref),
+    st.sampled_from(["set", "tuple", "x"]).map(lambda n: tree(n)),
+)
+_value = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["set", "list", "tuple", "x", "class"]),
+                  st.lists(inner, max_size=3)).map(lambda p: tree(p[0], *p[1])),
+        st.lists(st.tuples(st.sampled_from(["f", "g"]), inner), max_size=2).map(
+            lambda fs: tree("tuple", *[tree(n, v) for n, v in fs])),
+        st.tuples(st.sampled_from(["f", "name"]), inner).map(
+            lambda p: tree(p[0], p[1])),
+    ),
+    max_leaves=8,
+)
+_object = st.lists(st.tuples(st.sampled_from(["a", "b"]), _value), max_size=3).map(
+    lambda atts: tree("class", tree("car", *[tree(n, v) for n, v in atts])))
+_odmg_atoms = odmg_model()
+_odmg_atoms.add(Pattern("Patomic", [var("Y", ATOMIC)]))
+_MODELS = {
+    "odmg": _odmg_atoms,
+    "yat": yat_model(),
+    "sgml": sgml_model(),
+    "relational": relational_model(),
+    "html": html_model(),
+    "car": car_schema_model(),
+}
+
+
+class TestDataChecker:
+    """The compiled run-time checker answers as ``is_instance`` does,
+    check after check with one shared context (memo and co-induction
+    included)."""
+
+    @given(
+        objects=st.lists(st.one_of(_object, _value.filter(
+            lambda v: isinstance(v, Tree))), min_size=1, max_size=3),
+        model_name=st.sampled_from(sorted(_MODELS)),
+        checks=st.lists(st.tuples(st.one_of(_value, _object), st.integers(0, 9)),
+                        min_size=1, max_size=8),
+        with_store=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_answers_as_is_instance(self, objects, model_name, checks,
+                                         with_store):
+        model = _MODELS[model_name]
+        store = DataStore({f"o{i}": t for i, t in enumerate(objects)}) \
+            if with_store else None
+        names = model.pattern_names() + ["Unknown"]
+        checker = DataChecker(model, store)
+        context = InstantiationContext(source_model=model, store=store)
+        for node, pick in checks:
+            name = names[pick % len(names)]
+            pattern = model.get_pattern(name)
+            expected = None if pattern is None else is_instance(node, pattern, context)
+            assert checker.check(node, name) == expected, (node, name)
+
+    def test_cyclic_references(self):
+        store = DataStore({
+            "c": tree("class", tree("car", tree("s", Ref("s")))),
+            "s": tree("class", tree("sup", tree("c", Ref("c")),
+                                    tree("bad", tree("x", atom(1))))),
+        })
+        checker = DataChecker(_odmg_atoms, store)
+        context = InstantiationContext(source_model=_odmg_atoms, store=store)
+        for node in (Ref("c"), Ref("s"), tree("set", Ref("c"))):
+            assert checker.check(node, "Ptype") == is_instance(
+                node, _odmg_atoms.pattern("Ptype"), context)

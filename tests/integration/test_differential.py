@@ -4,7 +4,9 @@ The paper asserts that instantiated programs are "equivalent to the
 previous one, but more specific" (§4.1) and that composed programs
 replace sequential application (§4.3). These tests check both
 equivalences on randomized workloads, plus round-trip stability of the
-whole program serialization chain.
+whole program serialization chain, and that O2Web's typing modes (a
+store tagged with its model or not, run-time typing, the dispatch
+index) are schedules of one semantics (§3.5).
 """
 
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core.models import car_schema_model
 from repro.library import o2web_program, sgml_brochures_to_odmg
-from repro.wrappers import OdmgImportWrapper
+from repro.objectdb import car_dealer_schema
+from repro.obs import semantic_diff
+from repro.wrappers import OdmgExportWrapper, OdmgImportWrapper
 from repro.workloads import brochure_trees, car_object_store
 
 
@@ -100,3 +104,56 @@ def test_targeted_evaluation_is_a_restriction(programs, seed, count):
     for identifier in targeted.ids_of("Psup"):
         assert targeted.tree(identifier) == full.tree(identifier)
     assert not targeted.ids_of("Pcar")
+
+
+def _assert_typing_modes_agree(web, store):
+    """O2Web over a tagged ODMG store, against an untagged copy, with
+    run-time typing and without the dispatch index: no output differs
+    by canonical Skolem term, and the pages are the same."""
+    assert store.model is not None
+    untagged = store.copy()
+    tagged = web.run(store)
+    modes = {
+        "untagged": web.run(untagged),
+        "runtime_typing": web.run(store, runtime_typing=True),
+        "untagged_runtime_typing": web.run(untagged, runtime_typing=True),
+        "unindexed": web.run(store, use_dispatch_index=False),
+        "untagged_unindexed": web.run(untagged, use_dispatch_index=False),
+    }
+    assert tagged.metrics.value("yatl.typing.checks_run", pattern="Ptype") == 0
+    for mode, result in modes.items():
+        summary = semantic_diff(tagged, result)["summary"]
+        assert (summary["added"], summary["removed"], summary["changed"]) == \
+            (0, 0, 0), (mode, summary)
+        assert _pages(result) == _pages(tagged), mode
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    count=st.integers(1, 8),
+    distinct=st.integers(1, 5),
+    per_brochure=st.integers(0, 3),
+)
+@settings(max_examples=15, deadline=None)
+def test_typing_modes_on_brochure_stores(
+    programs, seed, count, distinct, per_brochure
+):
+    to_odmg, web, _, _ = programs
+    objects = to_odmg.run(brochure_trees(
+        count, distinct_suppliers=distinct,
+        suppliers_per_brochure=per_brochure, seed=seed,
+    ))
+    exported = OdmgExportWrapper(car_dealer_schema()).from_store(objects.store)
+    _assert_typing_modes_agree(web, OdmgImportWrapper().to_store(exported))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    cars=st.integers(1, 6),
+    suppliers=st.integers(1, 4),
+)
+@settings(max_examples=15, deadline=None)
+def test_typing_modes_on_dealer_stores(programs, seed, cars, suppliers):
+    _, web, _, _ = programs
+    objects = car_object_store(cars=cars, suppliers=suppliers, seed=seed)
+    _assert_typing_modes_agree(web, OdmgImportWrapper().to_store(objects))

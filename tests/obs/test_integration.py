@@ -10,7 +10,6 @@ import pytest
 from repro import YatSystem
 from repro.core.trees import DataStore
 from repro.obs import MetricsRegistry, SpanRecorder, collecting, recording
-from repro.yatl.trace import explain
 
 from ..conftest import make_brochure
 
@@ -49,6 +48,27 @@ class TestConversionResultMetrics:
         matched = metrics.value("yatl.rule.bindings_matched", rule="Rule1")
         kept = metrics.value("yatl.rule.bindings_after_predicates", rule="Rule1")
         assert matched == 2 and kept == 1  # Year > 1975 filters the Beetle
+
+    def test_function_filtering_is_counted(self, brochures_program):
+        # an address the city extractor cannot parse: filtered in phase 2
+        odd = make_brochure(9, "Golf", 1995, "x", [("V", "12345")])
+        metrics = brochures_program.run([odd]).metrics
+        assert metrics.value("yatl.rule.bindings_matched", rule="Rule1") == 1
+        assert metrics.value("yatl.rule.bindings_after_calls", rule="Rule1") == 0
+
+    def test_demand_applications_are_counted(self, web_program, golf_store):
+        result = web_program.run(golf_store)
+        # Web2 only runs on demand, on the atomic attribute values.
+        assert result.metrics.value("yatl.rule.applications", rule="Web2") >= 1
+        assert result.metrics.value("yatl.demand.rounds") >= 1
+        assert len(result.ids_of("HtmlPage")) == 2
+
+    def test_typing_checks_are_counted(self, web_program, golf_store):
+        metrics = web_program.run(golf_store).metrics
+        # A hand-built store has no model tag: every check runs.
+        assert metrics.value("yatl.typing.checks_run", pattern="Ptype") > 0
+        assert metrics.value("yatl.typing.checks_run", pattern="Patomic") > 0
+        assert metrics.get("yatl.typing.checks_discharged").total() == 0
 
     def test_skolem_accounting(self, brochures_program, brochure_store):
         metrics = brochures_program.run(brochure_store).metrics
@@ -131,21 +151,3 @@ class TestSpansIntegration:
         phase_names = {s.name for s in recorder.spans()}
         assert {"yatl.phase.match", "yatl.phase.construct", "yatl.splice"} \
             <= phase_names
-
-
-class TestExplainDelegation:
-    def test_explain_counts_match_result_metrics(
-        self, brochures_program, brochure_store
-    ):
-        trace = explain(brochures_program, brochure_store)
-        direct = brochures_program.run(brochure_store).metrics
-        for rule in ("Rule1", "Rule2"):
-            assert trace.rules[rule].matched == direct.value(
-                "yatl.rule.bindings_matched", rule=rule
-            )
-            assert trace.rules[rule].applications == direct.value(
-                "yatl.rule.applications", rule=rule
-            )
-        # explain's registry is the run's registry, not a re-evaluation
-        assert trace.metrics.value("yatl.outputs.trees") == 4
-        assert len(trace.result.store) == 4

@@ -356,6 +356,44 @@ class TestConcurrency:
             )
 
 
+class TestListenBacklog:
+    """The listen backlog holds at least the admission queue, so a burst
+    of connections is accepted (and shed with 429s if it must be)
+    instead of overflowing into ~1 s SYN retransmits."""
+
+    @pytest.mark.parametrize("depth", [None, 8, 600])
+    def test_backlog_covers_max_queue_depth(self, monkeypatch, depth):
+        import shutil
+        import socket
+
+        from repro.serve.server import LISTEN_BACKLOG_FLOOR
+
+        backlogs = []
+        listen = socket.socket.listen
+
+        def recording_listen(sock, *args):
+            backlogs.extend(args)
+            return listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", recording_listen)
+        with MediatorServer(port=0, warm=False, max_queue_depth=depth) as server:
+            wanted = max(depth or 0, LISTEN_BACKLOG_FLOOR)
+            assert backlogs == [wanted]
+            ss = shutil.which("ss")
+            if ss is None:
+                return
+            # A listening socket's Send-Q is its backlog, as the
+            # kernel holds it (capped by net.core.somaxconn).
+            listing = subprocess.run(
+                [ss, "-ltnH", f"sport = :{server.port}"],
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+            if listing:
+                with open("/proc/sys/net/core/somaxconn") as handle:
+                    cap = int(handle.read())
+                assert int(listing[2]) == min(wanted, cap)
+
+
 class TestAdmissionControl:
     @pytest.fixture
     def tiny_server(self):

@@ -1,10 +1,13 @@
 """SGML substrate: DTD parsing, document parsing, validation, writing."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError, WrapperError
+from repro.sgml.dtd import ContentAutomaton, Empty
 from repro.sgml import (
     Choice,
     DTD,
@@ -208,6 +211,122 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             validate(doc, brochure_dtd())
         assert "supplier" in str(exc.value)
+
+
+def _regex(model):
+    """A content model as a regular expression over one character per
+    child: the element's tag, or T for a text child."""
+    if isinstance(model, NameRef):
+        return model.name
+    if isinstance(model, PCData):
+        return "T*"
+    if isinstance(model, Seq):
+        return "".join(_regex(item) for item in model.items)
+    if isinstance(model, Choice):
+        return "(?:" + "|".join(_regex(o) for o in model.options) + ")"
+    return "(?:" + _regex(model.item) + ")" + model.mode
+
+
+_MODELS = st.recursive(
+    st.sampled_from([NameRef("a"), NameRef("b"), NameRef("c"), PCData()]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(Seq),
+        st.lists(inner, min_size=2, max_size=3).map(Choice),
+        st.tuples(inner, st.sampled_from("*+?")).map(lambda p: Repeat(*p)),
+    ),
+    max_leaves=6,
+)
+
+
+class TestContentAutomata:
+    """Content models compile to automata cached on the DTD; acceptance
+    is checked against Python's regular expressions."""
+
+    @given(model=_MODELS, children=st.lists(st.sampled_from("abcT "), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_model_language(self, model, children):
+        dtd = DTD("r", [ElementDecl("r", model)] + [
+            ElementDecl(name, Empty()) for name in "abc"
+        ])
+        doc = Element("r", [
+            "text" if c == "T" else " \n" if c == " " else Element(c)
+            for c in children
+        ])
+        symbols = "".join(c for c in children if c != " ")
+        expected = re.fullmatch(_regex(model), symbols) is not None
+        assert is_valid(doc, dtd) == expected
+
+    def test_compiled_once_per_dtd(self):
+        dtd = brochure_dtd()
+        automata = dtd.automata()
+        assert dtd.automata() is automata
+        assert set(automata) == set(dtd.element_names())
+        dtd.add(ElementDecl("extra", Empty()))
+        assert "extra" in dtd.automata()
+
+    def test_ambiguous_model(self):
+        dtd = parse_dtd(
+            "<!DOCTYPE r [ <!ELEMENT r ((a, b) | (a, c))> <!ELEMENT a EMPTY>"
+            " <!ELEMENT b EMPTY> <!ELEMENT c EMPTY> ]>"
+        )
+        assert is_valid(element("r", element("a"), element("b")), dtd)
+        assert is_valid(element("r", element("a"), element("c")), dtd)
+        assert not is_valid(element("r", element("a")), dtd)
+
+    def test_threads_sharing_a_dtd(self):
+        """States are created lazily; threads stepping one automaton
+        for the first time, each through different documents, must
+        agree on their numbers."""
+        import sys
+        import threading
+
+        names = "abcdefgh"
+        model = "((" + " | ".join(names) + ")*, (" + ", ".join(names) + "))"
+        decls = "".join(f"<!ELEMENT {n} EMPTY>" for n in names)
+        text = f"<!DOCTYPE r [ <!ELEMENT r {model}> {decls} ]>"
+        docs = []
+        for shift in range(16):
+            prefix = [names[(shift * 3 + i) % 8] for i in range(shift % 6)]
+            docs.append((element("r", *[element(n) for n in prefix + list(names)]),
+                         True))
+            docs.append((element("r", *[element(n) for n in prefix + list(names[::-1])]),
+                         False))
+        workers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                dtd = parse_dtd(text)  # fresh automata: every state is new
+                verdicts = {}
+
+                def check(worker):
+                    for k in range(len(docs)):  # a different order each
+                        index = (5 * k + 7 * worker) % len(docs)
+                        verdicts[worker, index] = is_valid(docs[index][0], dtd)
+
+                threads = [threading.Thread(target=check, args=(w,))
+                           for w in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert verdicts == {(w, i): docs[i][1] for w in range(workers)
+                                    for i in range(len(docs))}
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_transitions_and_dead_state(self):
+        automaton = ContentAutomaton(parse_dtd(
+            "<!DOCTYPE r [ <!ELEMENT r (a, (b | c)*, a?)> <!ELEMENT a EMPTY>"
+            " <!ELEMENT b EMPTY> <!ELEMENT c EMPTY> ]>"
+        ).element("r").content)
+        state = 0
+        for symbol in ["a", "b", "c", "b", "a"]:
+            state = automaton.step(state, symbol)
+            assert state >= 0
+        assert automaton.accepting[state]
+        assert automaton.step(state, "a") == ContentAutomaton.DEAD
 
 
 class TestWriting:

@@ -1,13 +1,14 @@
 """Equivalence goldens for the conversion path: parse, import, match, build.
 
-The SGML parser, the SGML import wrapper, the drift fingerprint, the
-body matcher and the head builder sit on every cold ``repro serve``
-request and every Fig. 1 conversion. Their outputs were recorded once
-into ``tests/goldens/conversion_goldens.json``; any rewrite of those
-layers must reproduce them exactly — element trees, error messages down
-to the reported line number, fingerprint JSON, matcher bindings (in
-order), constructed heads with their Skolem allocation logs, and the
-O2Web pages of whole Fig. 1 conversions.
+The SGML parser, the SGML import wrapper, the DTD validator, the drift
+fingerprint, the body matcher and the head builder sit on every cold
+``repro serve`` request and every Fig. 1 conversion. Their outputs were
+recorded once into ``tests/goldens/conversion_goldens.json``; any
+rewrite of those layers must reproduce them exactly — element trees,
+error messages down to the reported line number, validation errors down
+to the element path, fingerprint JSON, matcher bindings (in order),
+constructed heads with their Skolem allocation logs, and the O2Web
+pages of whole Fig. 1 conversions.
 
 Regenerate (only when a change of behaviour is intended) with::
 
@@ -26,7 +27,9 @@ from repro.core.labels import Symbol
 from repro.core.trees import DataStore, Ref, Tree, atom, tree
 from repro.errors import WrapperError, YatError
 from repro.obs import fingerprint_store
+from repro.sgml.dtd import parse_dtd
 from repro.sgml.parser import parse_sgml, parse_sgml_many
+from repro.sgml.validator import ValidationError, validate
 from repro.yatl.bindings import Binding
 from repro.yatl.construction import Constructor, Unbound
 from repro.yatl.matching import MatchContext, match_body, match_child
@@ -84,6 +87,92 @@ ERROR_CASES = {
     "expected_start_tag": ("many", "<a></a>\n text <b></b>"),
     "empty_document": ("one", "  <!-- only a comment -->\n"),
     "no_document": ("many", "\n\n"),
+}
+
+
+def _dtd(root, *declarations):
+    """DTD text: ``<!DOCTYPE root [...]>`` over ``name model`` pairs."""
+    body = "".join(f"<!ELEMENT {d}>\n" for d in declarations)
+    return f"<!DOCTYPE {root} [\n{body}]>"
+
+
+_AB = ("a EMPTY", "b EMPTY", "c EMPTY", "d EMPTY")
+#: The brochures DTD of Section 3.1 (``repro.sgml.brochure_dtd``).
+_BROCHURE = _dtd(
+    "brochure", "brochure (number, title, model, desc, spplrs)",
+    "number (#PCDATA)", "title (#PCDATA)", "model (#PCDATA)",
+    "desc (#PCDATA)", "spplrs (supplier)*", "supplier (name, address)",
+    "name (#PCDATA)", "address (#PCDATA)",
+)
+
+#: name -> (DTD text, document text). Each records "valid" or the exact
+#: ValidationError text: the element path and the message.
+VALIDATION_CASES = {
+    "seq_valid": (_dtd("r", "r (a, b)", *_AB), "<r><a></a> <b></b></r>"),
+    "seq_swapped": (_dtd("r", "r (a, b)", *_AB), "<r><b></b><a></a></r>"),
+    "seq_short": (_dtd("r", "r (a, b, c)", *_AB), "<r><a></a><b></b></r>"),
+    "seq_long": (_dtd("r", "r (a, b)", *_AB), "<r><a></a><b></b><c></c></r>"),
+    "choice_valid": (_dtd("r", "r (a | b)", *_AB), "<r><b></b></r>"),
+    "choice_both": (_dtd("r", "r (a | b)", *_AB), "<r><a></a><b></b></r>"),
+    "choice_none": (_dtd("r", "r (a | b)", *_AB), "<r></r>"),
+    "optional_absent": (_dtd("r", "r (a?, b)", *_AB), "<r><b></b></r>"),
+    "optional_twice": (_dtd("r", "r (a?, b)", *_AB),
+                       "<r><a></a><a></a><b></b></r>"),
+    "star_valid": (_dtd("r", "r (a*, b)", *_AB),
+                   "<r><a></a><a></a><a></a><b></b></r>"),
+    "star_interleaved": (_dtd("r", "r (a*, b)", *_AB),
+                         "<r><a></a><b></b><a></a></r>"),
+    "plus_valid": (_dtd("r", "r (a+)", *_AB), "<r><a></a><a></a></r>"),
+    "plus_empty": (_dtd("r", "r (a+)", *_AB), "<r>  </r>"),
+    "group_plus": (_dtd("r", "r (a, b)+", *_AB),
+                   "<r><a></a><b></b><a></a></r>"),
+    "nested_repeats": (_dtd("r", "r ((a | b)*, c?)+", *_AB),
+                       "<r><b></b><c></c><a></a><c></c><c></c></r>"),
+    "mixed_valid": (_dtd("r", "r (#PCDATA | a)*", *_AB),
+                    "<r>x<a></a>y<a></a></r>"),
+    "mixed_foreign_child": (_dtd("r", "r (#PCDATA | a)*", *_AB),
+                            "<r>x<a></a><b></b>y</r>"),
+    "pcdata_with_element": (_dtd("r", "r (#PCDATA)", *_AB),
+                            "<r>text<a></a></r>"),
+    "text_in_element_content": (_dtd("r", "r (a)", *_AB),
+                                "<r><a></a>stray</r>"),
+    "empty_with_content": (_dtd("r", "r (a)", *_AB), "<r><a>x</a></r>"),
+    "empty_with_element": (_dtd("r", "r (a)", *_AB), "<r><a><b></b></a></r>"),
+    "any_content": (_dtd("r", "r ANY", *_AB), "<r>t<b></b><a></a></r>"),
+    "undeclared_element": (_dtd("r", "r ANY", *_AB), "<r><a></a><z></z></r>"),
+    "undeclared_in_model": (_dtd("r", "r (a*)", *_AB), "<r><a></a><z></z></r>"),
+    "wrong_root": (_dtd("r", "r (a)", *_AB), "<a></a>"),
+    "nested_indexed_path": (
+        _dtd("brochure", "brochure (spplrs, number)", "number (#PCDATA)",
+             "spplrs (supplier)*", "supplier (name, address)",
+             "name (#PCDATA)", "address (#PCDATA)"),
+        "<brochure><spplrs>"
+        "<supplier><name>A</name><address>x</address></supplier>"
+        "<supplier><address>y</address><name>B</name></supplier>"
+        "</spplrs><number>1</number></brochure>",
+    ),
+    "deep_error_after_valid_siblings": (
+        _dtd("r", "r (s, s, s)", "s (a | (b, c))", *_AB),
+        "<r><s><a></a></s><s><b></b><c></c></s><s><b></b></s></r>",
+    ),
+    "ambiguous_first_branch": (_dtd("r", "r ((a, b) | (a, c))", *_AB),
+                               "<r><a></a><b></b></r>"),
+    "ambiguous_second_branch": (_dtd("r", "r ((a, b) | (a, c))", *_AB),
+                                "<r><a></a><c></c></r>"),
+    "ambiguous_rejects": (_dtd("r", "r ((a, b) | (a, c))", *_AB),
+                          "<r><a></a><d></d></r>"),
+    "ambiguous_star": (_dtd("r", "r ((a, b)*, a?)", *_AB),
+                       "<r><a></a><b></b><a></a></r>"),
+    "brochure_valid": (
+        _BROCHURE,
+        "<brochure><number>1</number><title>t</title><model>1990</model>"
+        "<desc>d</desc><spplrs></spplrs></brochure>",
+    ),
+    "brochure_missing_desc": (
+        _BROCHURE,
+        "<brochure><number>1</number><title>t</title><model>1990</model>"
+        "<spplrs></spplrs></brochure>",
+    ),
 }
 
 #: name -> (pattern text, data node builder).
@@ -339,6 +428,14 @@ def parse_case(kind, text):
     raise AssertionError(f"no WrapperError for {text!r}")
 
 
+def validation_case(dtd_text, document_text):
+    try:
+        validate(parse_sgml(document_text), parse_dtd(dtd_text))
+    except ValidationError as exc:
+        return str(exc)
+    return "valid"
+
+
 def fig1_fingerprints():
     from repro import YatSystem
     from repro.objectdb import car_dealer_schema
@@ -415,6 +512,8 @@ def record():
         },
         "errors": {name: parse_case(*case)
                    for name, case in ERROR_CASES.items()},
+        "validation": {name: validation_case(*case)
+                       for name, case in VALIDATION_CASES.items()},
         "fingerprints": fig1_fingerprints(),
         "matches": {name: match_case(*case)
                     for name, case in MATCH_CASES.items()},
@@ -448,6 +547,12 @@ def test_corpus_trees(golden, seed, count, distinct):
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
 def test_error_messages(golden, name):
     assert parse_case(*ERROR_CASES[name]) == golden["errors"][name]
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_CASES))
+def test_validation_errors(golden, name):
+    assert validation_case(*VALIDATION_CASES[name]) == \
+        golden["validation"][name]
 
 
 @pytest.fixture(scope="module")
