@@ -1,56 +1,33 @@
-"""Execution tracing (explain)."""
+"""Tracing a run: per-rule phase statistics on ConversionResult.metrics."""
 
-import pytest
+from tests.conftest import make_brochure
 
-from repro.yatl.trace import explain
+
+def _outputs(program, result, rule_name):
+    """The identifiers built by the rule that owns its head functor."""
+    (rule,) = [r for r in program.rules if r.name == rule_name]
+    return result.ids_of(rule.head_functor)
 
 
 class TestExplain:
     def test_phase_statistics(self, brochures_program, brochure_b1, brochure_b2):
-        trace = explain(brochures_program, [brochure_b1, brochure_b2])
-        rule1 = trace.rule("Rule1")
+        result = brochures_program.run([brochure_b1, brochure_b2])
+        metrics = result.metrics
         # Figure 3: three bindings matched (1 from b1, 2 from b2)
-        assert rule1.matched == 3
-        assert rule1.after_predicates == 3  # nothing filtered (years > 1975)
-        assert rule1.outputs == ["s1", "s2"]
-        rule2 = trace.rule("Rule2")
-        assert rule2.outputs == ["c1", "c2"]
+        assert metrics.value("yatl.rule.bindings_matched", rule="Rule1") == 3
+        # nothing filtered (years > 1975)
+        assert metrics.value(
+            "yatl.rule.bindings_after_predicates", rule="Rule1"
+        ) == 3
+        assert _outputs(brochures_program, result, "Rule1") == ["s1", "s2"]
+        assert _outputs(brochures_program, result, "Rule2") == ["c1", "c2"]
 
     def test_predicate_filtering_visible(self, brochures_program):
-        from tests.conftest import make_brochure
-
         old = make_brochure(9, "Beetle", 1960, "old",
                             [("V", "x, Paris 75001")])
-        trace = explain(brochures_program, [old])
-        rule1 = trace.rule("Rule1")
-        assert rule1.matched == 1
-        assert rule1.after_predicates == 0
-        assert rule1.filtered_by_predicates == 1
-
-    def test_function_filtering_visible(self, brochures_program):
-        from tests.conftest import make_brochure
-
-        # an address the city extractor cannot parse: filtered in phase 2
-        odd = make_brochure(9, "Golf", 1995, "x", [("V", "12345")])
-        trace = explain(brochures_program, [odd])
-        rule1 = trace.rule("Rule1")
-        assert rule1.filtered_by_calls == 1
-
-    def test_report_text(self, brochures_program, brochure_b1):
-        trace = explain(brochures_program, [brochure_b1])
-        text = trace.report()
-        assert "Rule1" in text and "output(s)" in text
-        assert "s1 <- in1" in text  # lineage lines
-
-    def test_demand_applications_counted(self, web_program, golf_store):
-        trace = explain(web_program, golf_store)
-        # Web2 is applied on demand for every atomic attribute value
-        assert trace.rule("Web2").applications >= 1
-        assert trace.result is not None
-        assert len(trace.result.ids_of("HtmlPage")) == 2
-
-    def test_trace_result_matches_plain_run(self, brochures_program,
-                                            brochure_b1, brochure_b2):
-        trace = explain(brochures_program, [brochure_b1, brochure_b2])
-        plain = brochures_program.run([brochure_b1, brochure_b2])
-        assert sorted(trace.result.store.names()) == sorted(plain.store.names())
+        metrics = brochures_program.run([old]).metrics
+        matched = metrics.value("yatl.rule.bindings_matched", rule="Rule1")
+        kept = metrics.value("yatl.rule.bindings_after_predicates", rule="Rule1")
+        assert matched == 1
+        assert kept == 0
+        assert matched - kept == 1  # filtered by Year > 1975
